@@ -4,55 +4,27 @@
 //! deterministic: emitting the same data twice yields identical bytes,
 //! which the harness's reproducibility tests rely on.
 
+use triangel_obs::json::{escape, fmt_f64};
 use triangel_sim::report::FigureTable;
 use triangel_sim::RunReport;
 
 use crate::sweep::SweepReport;
 
-/// Escapes a string for a JSON literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Renders an `f64` as a JSON number (shortest round-trip form; NaN and
-/// infinities become `null`).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn json_f64_list(vs: &[f64]) -> String {
-    let items: Vec<String> = vs.iter().map(|v| json_f64(*v)).collect();
+    let items: Vec<String> = vs.iter().map(|v| fmt_f64(*v)).collect();
     format!("[{}]", items.join(","))
 }
 
 /// Serializes a figure table as JSON.
 pub fn table_to_json(t: &FigureTable) -> String {
-    let configs: Vec<String> = t.configs().iter().map(|c| json_str(c)).collect();
+    let configs: Vec<String> = t.configs().iter().map(|c| escape(c)).collect();
     let rows: Vec<String> = t
         .rows()
         .iter()
         .map(|(label, vals)| {
             format!(
                 "{{\"workload\":{},\"values\":{}}}",
-                json_str(label),
+                escape(label),
                 json_f64_list(vals)
             )
         })
@@ -64,8 +36,8 @@ pub fn table_to_json(t: &FigureTable) -> String {
     };
     format!(
         "{{\"title\":{},\"metric\":{},\"configs\":[{}],\"rows\":[{}]{}}}",
-        json_str(t.title()),
-        json_str(t.metric()),
+        escape(t.title()),
+        escape(t.metric()),
         configs.join(","),
         rows.join(","),
         geomean,
@@ -196,9 +168,9 @@ impl PerfReport {
 fn perf_record_json(r: &PerfRecord) -> String {
     format!(
         "{{\"label\":{},\"wall_ms\":{},\"accesses_per_sec\":{}}}",
-        json_str(&r.label),
-        json_f64(r.wall_ms),
-        json_f64(r.accesses_per_sec),
+        escape(&r.label),
+        fmt_f64(r.wall_ms),
+        fmt_f64(r.accesses_per_sec),
     )
 }
 
@@ -206,9 +178,9 @@ fn perf_scaling_json(p: &PerfScalingPoint) -> String {
     format!(
         "{{\"workers\":{},\"wall_ms\":{},\"accesses_per_sec\":{},\"speedup_vs_serial\":{}}}",
         p.workers,
-        json_f64(p.wall_ms),
-        json_f64(p.accesses_per_sec),
-        json_f64(p.speedup_vs_serial),
+        fmt_f64(p.wall_ms),
+        fmt_f64(p.accesses_per_sec),
+        fmt_f64(p.speedup_vs_serial),
     )
 }
 
@@ -220,16 +192,16 @@ pub fn perf_to_json(r: &PerfReport) -> String {
     let scaling: Vec<String> = r.scaling.iter().map(perf_scaling_json).collect();
     format!(
         "{{\"schema\":3,\"figure\":\"perf\",\"sweep\":{},\"jobs\":{},\"total_accesses\":{},\"baseline\":{},\"current\":{},\"speedup\":{},\"scaling\":[{}],\"cell_cost\":{{\"baseline_wall_ms\":{},\"triangel_wall_ms\":{},\"ratio\":{}}}}}",
-        json_str(&r.sweep),
+        escape(&r.sweep),
         r.jobs,
         r.total_accesses,
         perf_record_json(&r.baseline),
         perf_record_json(&r.current),
-        json_f64(r.speedup()),
+        fmt_f64(r.speedup()),
         scaling.join(","),
-        json_f64(r.cell_cost.baseline_wall_ms),
-        json_f64(r.cell_cost.triangel_wall_ms),
-        json_f64(r.cell_cost.ratio),
+        fmt_f64(r.cell_cost.baseline_wall_ms),
+        fmt_f64(r.cell_cost.triangel_wall_ms),
+        fmt_f64(r.cell_cost.ratio),
     )
 }
 
@@ -287,10 +259,10 @@ pub struct FeaturesReport {
 fn feature_cell_json(c: &FeatureCell) -> String {
     format!(
         "{{\"speedup\":{},\"accuracy\":{},\"coverage\":{},\"dram_traffic\":{}}}",
-        json_f64(c.speedup),
-        json_f64(c.accuracy),
-        json_f64(c.coverage),
-        json_f64(c.dram_traffic),
+        fmt_f64(c.speedup),
+        fmt_f64(c.accuracy),
+        fmt_f64(c.coverage),
+        fmt_f64(c.dram_traffic),
     )
 }
 
@@ -308,7 +280,7 @@ pub fn features_to_json(r: &FeaturesReport) -> String {
                     format!(
                         "{{\"step\":{},\"label\":{},\"off\":{},\"on\":{}}}",
                         s.step,
-                        json_str(&s.label),
+                        escape(&s.label),
                         feature_cell_json(&s.off),
                         feature_cell_json(&s.on),
                     )
@@ -316,14 +288,14 @@ pub fn features_to_json(r: &FeaturesReport) -> String {
                 .collect();
             format!(
                 "{{\"workload\":{},\"steps\":[{}]}}",
-                json_str(&row.workload),
+                escape(&row.workload),
                 steps.join(",")
             )
         })
         .collect();
     format!(
         "{{\"schema\":1,\"figure\":\"features\",\"sweep\":{},\"rows\":[{}]}}",
-        json_str(&r.sweep),
+        escape(&r.sweep),
         rows.join(","),
     )
 }
@@ -391,11 +363,11 @@ pub struct TracesReport {
 fn trace_cell_json(c: &TraceCell) -> String {
     format!(
         "{{\"config\":{},\"speedup\":{},\"accuracy\":{},\"coverage\":{},\"dram_traffic\":{}}}",
-        json_str(&c.config),
-        json_f64(c.speedup),
-        json_f64(c.accuracy),
-        json_f64(c.coverage),
-        json_f64(c.dram_traffic),
+        escape(&c.config),
+        fmt_f64(c.speedup),
+        fmt_f64(c.accuracy),
+        fmt_f64(c.coverage),
+        fmt_f64(c.dram_traffic),
     )
 }
 
@@ -417,20 +389,20 @@ pub fn traces_to_json(r: &TracesReport) -> String {
                     replayed,
                 } => format!(
                     "\"source\":\"recorded\",\"trace\":{{\"records\":{records},\"checksum\":{},\"replayed\":{replayed},\"wraps\":{}}}",
-                    json_str(&format!("{checksum:016x}")),
+                    escape(&format!("{checksum:016x}")),
                     *replayed / (*records).max(1),
                 ),
             };
             format!(
                 "{{\"workload\":{},{provenance},\"cells\":[{}]}}",
-                json_str(&row.workload),
+                escape(&row.workload),
                 cells.join(",")
             )
         })
         .collect();
     format!(
         "{{\"schema\":1,\"figure\":\"traces\",\"sweep\":{},\"rows\":[{}]}}",
-        json_str(&r.sweep),
+        escape(&r.sweep),
         rows.join(","),
     )
 }
@@ -550,13 +522,13 @@ fn timeline_point_json(p: &TimelinePoint) -> String {
     format!(
         "{{\"end_access\":{},\"ipc\":{},\"l2_miss_rate\":{},\"issued\":{},\"useful\":{},\"wasted\":{},\"accuracy_so_far\":{},\"coverage_so_far\":{},\"markov_occupancy\":{},\"markov_ways\":{},\"desired_ways\":{}}}",
         p.end_access,
-        json_f64(p.ipc),
-        json_f64(p.l2_miss_rate),
+        fmt_f64(p.ipc),
+        fmt_f64(p.l2_miss_rate),
         p.issued,
         p.useful,
         p.wasted,
-        json_f64(p.accuracy_so_far),
-        json_f64(p.coverage_so_far),
+        fmt_f64(p.accuracy_so_far),
+        fmt_f64(p.coverage_so_far),
         p.markov_occupancy,
         p.markov_ways,
         p.desired_ways,
@@ -577,21 +549,21 @@ pub fn timeline_to_json(r: &TimelineReport) -> String {
                     let points: Vec<String> = s.points.iter().map(timeline_point_json).collect();
                     format!(
                         "{{\"config\":{},\"points\":[{}]}}",
-                        json_str(&s.config),
+                        escape(&s.config),
                         points.join(",")
                     )
                 })
                 .collect();
             format!(
                 "{{\"workload\":{},\"series\":[{}]}}",
-                json_str(&row.workload),
+                escape(&row.workload),
                 series.join(",")
             )
         })
         .collect();
     format!(
         "{{\"schema\":1,\"figure\":\"timeline\",\"sweep\":{},\"every\":{},\"rows\":[{}]}}",
-        json_str(&r.sweep),
+        escape(&r.sweep),
         r.every,
         rows.join(","),
     )
@@ -643,9 +615,9 @@ fn multicore_row_json(r: &MulticoreRow) -> String {
     format!(
         "{{\"n_cores\":{},\"config\":{},\"core_ipc\":{},\"aggregate_ipc\":{},\"dram_reads\":{},\"dram_queue_delay\":{},\"markov_occupancy\":{},\"markov_ways\":{}}}",
         r.n_cores,
-        json_str(&r.config),
+        escape(&r.config),
         json_f64_list(&r.core_ipc),
-        json_f64(r.aggregate_ipc),
+        fmt_f64(r.aggregate_ipc),
         r.dram_reads,
         r.dram_queue_delay,
         r.markov_occupancy,
@@ -660,8 +632,8 @@ pub fn multicore_to_json(r: &MulticoreReport) -> String {
     let rows: Vec<String> = r.rows.iter().map(multicore_row_json).collect();
     format!(
         "{{\"schema\":1,\"figure\":\"multicore\",\"sweep\":{},\"workload\":{},\"rows\":[{}]}}",
-        json_str(&r.sweep),
-        json_str(&r.workload),
+        escape(&r.sweep),
+        escape(&r.workload),
         rows.join(","),
     )
 }
@@ -670,11 +642,11 @@ pub fn multicore_to_json(r: &MulticoreReport) -> String {
 fn run_summary_json(r: &RunReport) -> String {
     format!(
         "{{\"workload\":{},\"ipc\":{},\"dram_reads\":{},\"l3_accesses\":{},\"accuracy\":{},\"l2_demand_misses\":{},\"markov_ways\":{}}}",
-        json_str(&r.workload),
-        json_f64(r.ipc()),
+        escape(&r.workload),
+        fmt_f64(r.ipc()),
         r.dram_reads(),
         r.l3_accesses(),
-        json_f64(r.accuracy()),
+        fmt_f64(r.accuracy()),
         r.l2_demand_misses(),
         r.markov_ways,
     )
@@ -690,13 +662,13 @@ pub fn sweep_to_json(report: &SweepReport) -> String {
         .map(|(key, result)| match result {
             Ok(run) => format!(
                 "{{\"key\":{},\"ok\":true,\"run\":{}}}",
-                json_str(key),
+                escape(key),
                 run_summary_json(run)
             ),
             Err(e) => format!(
                 "{{\"key\":{},\"ok\":false,\"error\":{}}}",
-                json_str(key),
-                json_str(&e.message)
+                escape(key),
+                escape(&e.message)
             ),
         })
         .collect();

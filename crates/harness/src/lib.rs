@@ -17,6 +17,10 @@
 //!   baselines (e.g. the stride-only normalization run every figure
 //!   needs) execute once per sweep — or once per *process* when the
 //!   cache is shared across sweeps — and the hit counter is reported.
+//! * [`ResultStore`] — the optional on-disk, content-addressed store
+//!   (`--store DIR`) that shares finished runs across processes. A
+//!   sweep resolves each job from its [`ResultCache`] first, then the
+//!   store (claim, execute, publish), and only then executes locally.
 //! * [`Sweep`] / [`GridSpec`] — the aggregation layer: a flat job list
 //!   with fold-it-yourself results, or a declarative rows × columns
 //!   grid that folds [`RunReport`](triangel_sim::RunReport)s into
@@ -61,17 +65,15 @@ pub mod goldens;
 mod grid;
 mod job;
 pub mod pool;
-pub mod service;
 mod sweep;
 
 pub use campaign::{Campaign, CampaignOptions, CampaignReport, CampaignStats, JobOutcome};
 pub use grid::{GridResult, GridSpec};
 pub use job::{JobSpec, MapperSpec, RunParams, WorkloadSpec};
-pub use service::{Client, Server, ServerOptions};
 pub use sweep::{JobError, Progress, ResultCache, Sweep, SweepOptions, SweepReport, SweepStats};
 // Re-exported so fixture tests and batch drivers can build
 // `JobSpec::features` overrides without a direct `triangel-sim` import.
 pub use triangel_sim::TriangelFeatures;
-// The on-disk result store the sweep, campaign, and daemon layers all
-// coordinate through (see `SweepOptions::with_store`).
+// The on-disk result store the sweep and campaign layers coordinate
+// through (see `SweepOptions::with_store`).
 pub use triangel_store::ResultStore;

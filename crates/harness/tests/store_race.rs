@@ -5,8 +5,8 @@
 //!
 //! The two `ResultStore` handles here open their lock files
 //! independently, so they contend through `flock` exactly like two
-//! separate processes would — this is the same-machine analogue of the
-//! daemon's multi-client story.
+//! separate processes would — this is the same-machine analogue of two
+//! figure binaries sharing one `--store` directory.
 
 use std::sync::Arc;
 

@@ -1,17 +1,11 @@
-//! High-level experiment runner (thin wrapper over
-//! [`SimSession`](crate::SimSession)).
+//! [`PrefetcherChoice`]: the paper's evaluated prefetcher
+//! configurations, as data a [`SimSession`](crate::SimSession) builds.
 
-use crate::config::SystemConfig;
 use crate::dispatch::PrefetcherImpl;
-use crate::error::SimError;
-use crate::metrics::RunReport;
-use crate::session::SimSession;
 use triangel_core::{Triangel, TriangelConfig, TriangelFeatures};
 use triangel_markov::TargetFormat;
 use triangel_prefetch::NullPrefetcher;
 use triangel_triage::{Triage, TriageConfig};
-use triangel_workloads::paging::PageMapper;
-use triangel_workloads::TraceSource;
 
 /// Which temporal prefetcher to attach (the paper's evaluated
 /// configurations; the baseline stride prefetcher is always present).
@@ -62,8 +56,9 @@ impl PrefetcherChoice {
         }
     }
 
-    /// Whether [`Experiment::sizing_window`] affects this configuration
-    /// at all. Only the non-custom Triangel variants read the window
+    /// Whether the sizing window
+    /// ([`SimSessionBuilder::sizing_window`](crate::SimSessionBuilder::sizing_window))
+    /// affects this configuration at all. Only the non-custom Triangel variants read the window
     /// (their Set Dueller / Bloom reset period); Triage ignores it, the
     /// stride-only baseline has no temporal prefetcher, and the custom
     /// configurations carry their own window. Batch drivers use this to
@@ -96,8 +91,8 @@ impl PrefetcherChoice {
     }
 
     /// Builds the enum-dispatched prefetcher this choice describes —
-    /// the form the default [`SimSession`] pipeline uses, with no
-    /// virtual call on the training path.
+    /// the form the default [`SimSession`](crate::SimSession) pipeline
+    /// uses, with no virtual call on the training path.
     pub fn build_impl(&self, sizing_window: u64) -> PrefetcherImpl {
         self.build_impl_with(sizing_window, None)
     }
@@ -156,156 +151,16 @@ impl PrefetcherChoice {
     }
 }
 
-/// Builder for one simulation run.
-///
-/// Defaults follow the paper's methodology scaled to trace length:
-/// warm-up then measurement (Section 5 uses 50M instructions warm-up,
-/// 5M sampled, over 20 checkpoints; we use one long deterministic
-/// window per workload).
-#[derive(Debug)]
-pub struct Experiment {
-    sources: Vec<Box<dyn TraceSource + Send>>,
-    system: SystemConfig,
-    choice: PrefetcherChoice,
-    warmup: u64,
-    accesses: u64,
-    fragmentation: Option<PageMapper>,
-    sizing_window: u64,
-    label: Option<String>,
-}
-
-impl Experiment {
-    /// Single-core experiment over one trace source.
-    pub fn new(source: impl TraceSource + Send + 'static) -> Self {
-        Experiment {
-            sources: vec![Box::new(source)],
-            system: SystemConfig::paper_single_core(),
-            choice: PrefetcherChoice::Baseline,
-            warmup: 1_000_000,
-            accesses: 2_000_000,
-            fragmentation: None,
-            sizing_window: 250_000,
-            label: None,
-        }
-    }
-
-    /// Single-core experiment over an already-boxed trace source (the
-    /// form batch drivers that store sources as data need).
-    pub fn new_boxed(source: Box<dyn TraceSource + Send>) -> Self {
-        Experiment {
-            sources: vec![source],
-            system: SystemConfig::paper_single_core(),
-            choice: PrefetcherChoice::Baseline,
-            warmup: 1_000_000,
-            accesses: 2_000_000,
-            fragmentation: None,
-            sizing_window: 250_000,
-            label: None,
-        }
-    }
-
-    /// Multiprogrammed experiment: one source per core, shared L3/DRAM
-    /// (Section 6.3).
-    pub fn multiprogrammed(sources: Vec<Box<dyn TraceSource + Send>>) -> Self {
-        assert!(!sources.is_empty());
-        Experiment {
-            system: SystemConfig::paper_dual_core(),
-            sources,
-            choice: PrefetcherChoice::Baseline,
-            warmup: 1_000_000,
-            accesses: 2_000_000,
-            fragmentation: None,
-            sizing_window: 250_000,
-            label: None,
-        }
-    }
-
-    /// Sets the temporal prefetcher.
-    #[must_use]
-    pub fn prefetcher(mut self, choice: PrefetcherChoice) -> Self {
-        self.choice = choice;
-        self
-    }
-
-    /// Sets warm-up length in accesses per core.
-    #[must_use]
-    pub fn warmup(mut self, accesses: u64) -> Self {
-        self.warmup = accesses;
-        self
-    }
-
-    /// Sets measured length in accesses per core.
-    #[must_use]
-    pub fn accesses(mut self, accesses: u64) -> Self {
-        self.accesses = accesses;
-        self
-    }
-
-    /// Overrides the system configuration.
-    #[must_use]
-    pub fn system(mut self, cfg: SystemConfig) -> Self {
-        self.system = cfg;
-        self
-    }
-
-    /// Overrides the virtual-to-physical mapper (Fig. 18/19 study).
-    #[must_use]
-    pub fn page_mapper(mut self, mapper: PageMapper) -> Self {
-        self.fragmentation = Some(mapper);
-        self
-    }
-
-    /// Overrides the sizing window (Set Dueller / Bloom reset period).
-    #[must_use]
-    pub fn sizing_window(mut self, window: u64) -> Self {
-        self.sizing_window = window;
-        self
-    }
-
-    /// Overrides the report's workload label.
-    #[must_use]
-    pub fn label(mut self, label: impl Into<String>) -> Self {
-        self.label = Some(label.into());
-        self
-    }
-
-    /// Runs the experiment, reporting a malformed specification (e.g. a
-    /// core-count/source mismatch from [`Experiment::system`]) as a
-    /// typed error instead of panicking.
-    ///
-    /// Delegates to [`SimSession`], so it runs the same monomorphized
-    /// pipeline as [`SimSession::builder`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] from [`crate::SimSessionBuilder::build`].
-    pub fn try_run(self) -> Result<RunReport, SimError> {
-        let mut b = SimSession::builder()
-            .system(self.system)
-            .prefetcher(self.choice)
-            .warmup(self.warmup)
-            .accesses(self.accesses)
-            .sizing_window(self.sizing_window);
-        for source in self.sources {
-            b = b.boxed_workload(source);
-        }
-        if let Some(mapper) = self.fragmentation {
-            b = b.page_mapper(mapper);
-        }
-        if let Some(label) = self.label {
-            b = b.label(label);
-        }
-        b.run()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SystemConfig;
     use crate::engine::Engine;
     use crate::hierarchy::MemorySystem;
     use crate::metrics::Comparison;
+    use crate::session::SimSession;
     use triangel_types::{Addr, Pc};
+    use triangel_workloads::paging::PageMapper;
     use triangel_workloads::temporal::{TemporalStream, TemporalStreamConfig};
 
     fn chase(len: usize) -> TemporalStream {
@@ -317,10 +172,11 @@ mod tests {
 
     #[test]
     fn baseline_runs_and_reports() {
-        let r = Experiment::new(chase(50_000))
+        let r = SimSession::builder()
+            .workload(chase(50_000))
             .warmup(20_000)
             .accesses(50_000)
-            .try_run()
+            .run()
             .unwrap();
         assert!(r.ipc() > 0.0);
         assert!(r.dram_reads() > 0);
@@ -332,18 +188,20 @@ mod tests {
         // A strict pointer chase over 50k lines: far beyond L2/L3, well
         // within Markov capacity, fully dependent. This is the
         // textbook case where a temporal prefetcher must win.
-        let base = Experiment::new(chase(50_000))
+        let base = SimSession::builder()
+            .workload(chase(50_000))
             .warmup(300_000)
             .accesses(200_000)
             .sizing_window(60_000)
-            .try_run()
+            .run()
             .unwrap();
-        let tri = Experiment::new(chase(50_000))
+        let tri = SimSession::builder()
+            .workload(chase(50_000))
             .warmup(300_000)
             .accesses(200_000)
             .sizing_window(60_000)
             .prefetcher(PrefetcherChoice::Triangel)
-            .try_run()
+            .run()
             .unwrap();
         let c = Comparison::new(&base, &tri);
         assert!(

@@ -61,7 +61,7 @@ pub use config::{ContentionConfig, SystemConfig};
 pub use dispatch::PrefetcherImpl;
 pub use engine::Engine;
 pub use error::SimError;
-pub use experiment::{Experiment, PrefetcherChoice};
+pub use experiment::PrefetcherChoice;
 pub use hierarchy::{CoreStats, MemorySystem};
 pub use metrics::{Comparison, CoreReport, RunReport};
 pub use session::{SimSession, SimSessionBuilder, SNAPSHOT_VERSION};

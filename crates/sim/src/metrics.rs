@@ -127,7 +127,8 @@ pub struct Comparison {
     pub coverage: f64,
     /// L3 accesses normalized to baseline (Fig. 14).
     pub l3_accesses: f64,
-    /// DRAM+L3 dynamic energy normalized to baseline (Fig. 15).
+    /// DRAM+L3 dynamic energy normalized to baseline (Fig. 15); NaN
+    /// when the baseline spent no energy.
     pub energy: f64,
     /// DRAM share of this run's energy (the hashed bars of Fig. 15).
     pub energy_dram_fraction: f64,

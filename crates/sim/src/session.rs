@@ -9,9 +9,6 @@
 //! ([`PrefetcherImpl`](crate::PrefetcherImpl)), and cache replacement is
 //! enum-dispatched inside the caches themselves, so no `dyn` call
 //! remains on the per-access hot path.
-//!
-//! The older [`Experiment`](crate::Experiment) builder is now a thin
-//! wrapper over this type; its panicking `run()` is deprecated.
 
 use crate::config::SystemConfig;
 use crate::dispatch::PrefetcherImpl;

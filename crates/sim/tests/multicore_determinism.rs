@@ -19,6 +19,7 @@
 //!   counters, not just core 0's.
 
 use triangel_sim::{PrefetcherChoice, SimSession, SystemConfig};
+use triangel_types::hash::{fnv1a, FNV_OFFSET};
 use triangel_workloads::spec::SpecWorkload;
 use triangel_workloads::{MemoryAccess, TraceSource};
 
@@ -49,13 +50,7 @@ fn build_n_core(n: usize, choice: PrefetcherChoice, exec_threads: usize) -> SimS
 /// FNV-1a over the report's exhaustive `Debug` rendering: every
 /// counter of every core, the DRAM stats, and the Markov partition.
 fn fingerprint(session: &SimSession) -> u64 {
-    let text = format!("{:?}", session.report());
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(FNV_OFFSET, format!("{:?}", session.report()).as_bytes())
 }
 
 #[test]

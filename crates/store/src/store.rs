@@ -8,6 +8,7 @@ use std::sync::Arc;
 
 use triangel_obs::{Probe, ProbeSet};
 use triangel_sim::{RunReport, SNAPSHOT_VERSION};
+use triangel_types::hash::{fnv1a_with_prime, FNV_OFFSET};
 use triangel_types::snap::{snap_check, SnapError, SnapReader, SnapWriter};
 
 use crate::flock;
@@ -24,17 +25,20 @@ pub const STORE_FORMAT_VERSION: u32 = 1;
 /// artifacts. Shared with the campaign runner so a campaign directory
 /// and a store directory name the same job the same way.
 pub fn key_stem(key: &str) -> String {
-    format!("{:016x}", fnv1a(key.as_bytes()))
+    format!("{:016x}", store_hash(key.as_bytes()))
 }
 
-/// FNV-1a 64-bit hash (also the entry payload checksum).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+/// The multiplier of the store's FNV-1a variant: `0x1000_0000_01b3`,
+/// one zero nibble wider than the standard [`FNV_PRIME`]. Every entry
+/// stem and checksum on disk was written with it, so it can only change
+/// together with [`STORE_FORMAT_VERSION`].
+///
+/// [`FNV_PRIME`]: triangel_types::hash::FNV_PRIME
+const STORE_FNV_PRIME: u64 = 0x1000_0000_01b3;
+
+/// The store's 64-bit hash: entry stems and entry payload checksums.
+fn store_hash(bytes: &[u8]) -> u64 {
+    fnv1a_with_prime(STORE_FNV_PRIME, FNV_OFFSET, bytes)
 }
 
 /// Atomically replaces `path` with `bytes` (write to a sibling temp
@@ -247,7 +251,7 @@ impl ResultStore {
     }
 
     fn stem(&self, key: &str) -> String {
-        format!("{:016x}", fnv1a(key.as_bytes()) & self.stem_mask)
+        format!("{:016x}", store_hash(key.as_bytes()) & self.stem_mask)
     }
 
     /// The entry file for `key`'s first probe slot (colliding keys may
@@ -408,7 +412,7 @@ fn entry_to_bytes(key: &str, report: &RunReport) -> Vec<u8> {
     w.u32(SNAPSHOT_VERSION);
     w.str(key);
     w.bytes(&payload);
-    w.u64(fnv1a(&payload));
+    w.u64(store_hash(&payload));
     w.into_bytes()
 }
 
@@ -436,9 +440,21 @@ fn entry_from_bytes(key: &str, bytes: &[u8]) -> Result<Option<RunReport>, SnapEr
     let payload = r.bytes()?;
     let checksum = r.u64()?;
     r.finish()?;
-    snap_check(checksum == fnv1a(payload), "entry checksum mismatch")?;
+    snap_check(checksum == store_hash(payload), "entry checksum mismatch")?;
     if stored_key != key {
         return Ok(None);
     }
     report_from_bytes(payload).map(Some)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn key_stem_is_pinned() {
+        // Entry file names are on-disk format: existing stores and
+        // campaign directories must keep resolving to the same stems.
+        assert_eq!(key_stem("spec:Xalan|pf=Triangel"), "12d1fbb3c262d9f1");
+    }
 }

@@ -1,4 +1,5 @@
-//! A fast, deterministic hasher for hot-path lookup tables.
+//! Deterministic hashing: a fast hasher for hot-path lookup tables,
+//! and the FNV-1a byte hash behind every on-disk checksum and file stem.
 //!
 //! `std`'s default `HashMap` hasher is SipHash-1-3 with per-process
 //! random keys — robust against adversarial keys, but several times the
@@ -14,6 +15,11 @@
 //! do, sort first), so using [`FxHashMap`] is output-neutral — and,
 //! unlike `RandomState`, makes the hash itself reproducible too.
 //!
+//! [`fnv1a`] is the 64-bit FNV-1a hash. It checksums recorded trace
+//! files, and (through [`fnv1a_with_prime`], see there) names and
+//! checksums result-store entries, so its output is part of those
+//! on-disk formats and must never change.
+//!
 //! # Examples
 //!
 //! ```
@@ -26,6 +32,38 @@
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
+
+/// The 64-bit FNV-1a offset basis: the seed of a fresh [`fnv1a`] hash.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The 64-bit FNV prime.
+pub const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// 64-bit FNV-1a over `bytes`, continuing from `seed`.
+///
+/// Start from [`FNV_OFFSET`]; feeding the result back in as the next
+/// seed hashes a byte stream incrementally, chunk by chunk.
+///
+/// ```
+/// use triangel_types::hash::{fnv1a, FNV_OFFSET};
+///
+/// let whole = fnv1a(FNV_OFFSET, b"trace");
+/// assert_eq!(fnv1a(fnv1a(FNV_OFFSET, b"tr"), b"ace"), whole);
+/// ```
+pub fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
+    fnv1a_with_prime(FNV_PRIME, seed, bytes)
+}
+
+/// The FNV-1a xor-then-multiply loop with a caller-chosen multiplier.
+///
+/// Only for on-disk formats already written with a non-standard prime
+/// (the result store's entry stems and checksums); new code uses
+/// [`fnv1a`].
+pub fn fnv1a_with_prime(prime: u64, seed: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(seed, |h, &b| (h ^ u64::from(b)).wrapping_mul(prime))
+}
 
 /// The 64-bit FxHash multiplier (derived from the golden ratio).
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -99,6 +137,13 @@ pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 mod tests {
     use super::*;
     use std::hash::BuildHasher;
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn deterministic_across_builders() {

@@ -17,7 +17,8 @@
 //!   shared by the cache model, the prefetcher interfaces and the
 //!   memory system.
 //! * [`hash`] — a deterministic fast hasher ([`hash::FxHashMap`]) for
-//!   hot-path lookup tables keyed by simulator-generated values.
+//!   hot-path lookup tables keyed by simulator-generated values, and
+//!   the FNV-1a byte hash ([`hash::fnv1a`]) behind on-disk checksums.
 //!
 //! # Examples
 //!

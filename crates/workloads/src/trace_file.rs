@@ -30,6 +30,7 @@ use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use triangel_types::hash::{fnv1a, FNV_OFFSET};
 use triangel_types::snap::{snap_check, SnapError, SnapReader, SnapWriter};
 use triangel_types::{Addr, Pc};
 
@@ -48,17 +49,6 @@ pub const TRACE_HEADER_LEN: u64 = 28;
 pub const TRACE_RECORD_LEN: u64 = 18;
 
 const FLAG_DEPENDENT: u8 = 1;
-
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The validated header of a trace file: record count and payload
 /// checksum. Cheap to read (no payload scan), so harness content keys

@@ -2,7 +2,7 @@
 //! hierarchy -> prefetcher -> metrics) must reproduce the paper's
 //! qualitative claims on controlled inputs.
 
-use triangel::sim::{Comparison, Experiment, PrefetcherChoice, RunReport, SimSession};
+use triangel::sim::{Comparison, PrefetcherChoice, RunReport, SimSession};
 use triangel::types::{Addr, Pc};
 use triangel::workloads::spec::SpecWorkload;
 use triangel::workloads::temporal::{RandomStream, TemporalStream, TemporalStreamConfig};
@@ -90,23 +90,22 @@ fn reports_are_deterministic() {
 
 #[test]
 fn multiprogrammed_runs_share_memory_system() {
-    let sources: Vec<Box<dyn triangel::workloads::TraceSource + Send>> = vec![
-        Box::new(chase(30_000, 1)),
-        Box::new(RandomStream::new(
+    // Two workloads: the builder picks the paper's dual-core system.
+    let report = SimSession::builder()
+        .workload(chase(30_000, 1))
+        .workload(RandomStream::new(
             "r",
             Pc::new(0x60),
             Addr::new(1 << 33),
             50_000,
             false,
             2,
-        )),
-    ];
-    let report = Experiment::multiprogrammed(sources)
+        ))
         .warmup(100_000)
         .accesses(100_000)
         .sizing_window(60_000)
         .prefetcher(PrefetcherChoice::Triangel)
-        .try_run()
+        .run()
         .unwrap();
     assert_eq!(report.cores.len(), 2);
     assert!(report.cores[0].ipc() > 0.0);
