@@ -4,9 +4,11 @@
 //! Unlike the figure binaries (which run a sweep to completion in one
 //! process), this binary drives its jobs through
 //! [`triangel_harness::Campaign`]: every simulation advances in
-//! segments, snapshots its full state under `--out-dir` after each, and
-//! resumes from the manifest on the next invocation. Killing the
-//! process at any point loses at most one segment per in-flight job.
+//! segments and checkpoints its full state after each. `--out-dir` is
+//! a result store: finished reports and checkpoints are its entries,
+//! and the next invocation loads the former and resumes from the
+//! latter. Killing the process at any point loses at most one segment
+//! per in-flight job.
 //!
 //! ```text
 //! campaign --figure features --scale full --out-dir campaign-out
@@ -21,17 +23,13 @@
 //!   accesses per core) or the figure's smoke scale.
 //! * `--jobs N` — worker threads (0 = one per core; results are
 //!   byte-identical whatever the value).
-//! * `--out-dir DIR` — snapshot/manifest/artefact directory (default
-//!   `campaign-out`). Re-running with the same directory resumes.
+//! * `--out-dir DIR` — the result store plus the figure artefacts
+//!   (default `campaign-out`). Re-running with the same directory
+//!   resumes; figure binaries share its results with `--store DIR`.
 //! * `--segment N` — checkpoint interval in accesses per core.
 //! * `--max-segments K` — stop after K segments (forced interrupt; CI
 //!   uses this to exercise resume).
 //! * `--wall-budget-secs S` — stop issuing segments after S seconds.
-//! * `--store DIR` — bridge the campaign to the shared cross-process
-//!   result store: finished jobs found there are served without
-//!   executing (counted as loaded), and every report the campaign
-//!   completes is published back, so sweeps and campaigns over the
-//!   same grid get hits.
 //! * `--trace PATH` — record the campaign's wall-time spans (one per
 //!   job and per executed segment, on named worker lanes) as Chrome
 //!   `trace_event` JSON for <https://ui.perfetto.dev>. Host-only:
@@ -70,7 +68,6 @@ struct Cli {
     segment: u64,
     max_segments: Option<u64>,
     wall_budget_secs: Option<u64>,
-    store: Option<PathBuf>,
     trace: Option<PathBuf>,
     quiet: bool,
 }
@@ -85,7 +82,6 @@ impl Default for Cli {
             segment: 250_000,
             max_segments: None,
             wall_budget_secs: None,
-            store: None,
             trace: None,
             quiet: false,
         }
@@ -138,15 +134,14 @@ fn parse_cli(args: impl Iterator<Item = String>) -> Result<Cli, String> {
                         .map_err(|_| format!("bad --wall-budget-secs `{v}`"))?,
                 );
             }
-            "--store" => cli.store = Some(PathBuf::from(value("--store")?)),
             "--trace" => cli.trace = Some(PathBuf::from(value("--trace")?)),
             "--quiet" => cli.quiet = true,
             other => {
                 return Err(format!(
                     "unknown argument `{other}` (expected --figure features|spec, \
                      --scale full|smoke, --jobs N, --out-dir DIR, --segment N, \
-                     --max-segments K, --wall-budget-secs S, --store DIR, \
-                     --trace PATH, --quiet)"
+                     --max-segments K, --wall-budget-secs S, --trace PATH, \
+                     --quiet)"
                 ))
             }
         }
@@ -200,16 +195,14 @@ fn main() {
     if let Some(s) = cli.wall_budget_secs {
         opts = opts.wall_budget(Duration::from_secs(s));
     }
-    let shared_store = cli.store.as_ref().map(|dir| {
-        let store = triangel_harness::ResultStore::open(dir).unwrap_or_else(|e| {
-            eprintln!("cannot open result store at {}: {e}", dir.display());
-            std::process::exit(2);
-        });
-        std::sync::Arc::new(store)
+    // Opened here rather than by the campaign so its counters can be
+    // reported below.
+    let store = triangel_harness::ResultStore::open(&cli.out_dir).unwrap_or_else(|e| {
+        eprintln!("cannot open result store at {}: {e}", cli.out_dir.display());
+        std::process::exit(1);
     });
-    if let Some(store) = &shared_store {
-        opts = opts.with_store(store.clone());
-    }
+    let store = std::sync::Arc::new(store);
+    opts = opts.with_store(store.clone());
     let trace = cli
         .trace
         .as_ref()
@@ -228,7 +221,7 @@ fn main() {
         });
     let s = &report.stats;
     eprintln!(
-        "[campaign] {} unique job(s): {} done ({} loaded from disk, {} resumed), \
+        "[campaign] {} unique job(s): {} done ({} loaded from store, {} resumed), \
          {} interrupted, {} failed — {} segment(s), {} accesses in {:.1}s",
         s.unique,
         s.completed,
@@ -240,9 +233,7 @@ fn main() {
         s.accesses_run,
         t0.elapsed().as_secs_f64(),
     );
-    if let Some(store) = &shared_store {
-        eprintln!("[store] {}", store.stats().render());
-    }
+    eprintln!("[store] {}", store.stats().render());
 
     // Written before any exit below: an interrupted campaign's trace is
     // exactly the one worth looking at.

@@ -3,25 +3,27 @@
 //! A [`Campaign`] runs [`JobSpec`]s like a [`crate::Sweep`] does, but
 //! in *segments*: each job's simulation advances
 //! [`CampaignOptions::segment_accesses`] accesses at a time through
-//! [`SimSession::run_segment`](triangel_sim::SimSession::run_segment), and after every segment the full
-//! simulation state is snapshotted to disk. Killing the process (or
-//! exhausting a segment/wall-clock budget) therefore loses at most one
-//! segment of work: re-running the same campaign with the same
-//! `out_dir` resumes every partial job from its snapshot and skips
-//! every finished job entirely, loading its persisted report instead.
+//! [`SimSession::run_segment`](triangel_sim::SimSession::run_segment),
+//! and after every segment the full simulation state is checkpointed.
+//! Killing the process (or exhausting a segment/wall-clock budget)
+//! therefore loses at most one segment of work: re-running the same
+//! campaign against the same store resumes every partial job from its
+//! checkpoint and skips every finished job entirely, loading its
+//! report instead.
 //!
-//! On-disk layout under `out_dir`:
+//! All campaign state lives in a [`ResultStore`] — the one opened at
+//! `out_dir`, or the handle given with [`CampaignOptions::with_store`]:
 //!
-//! * `manifest.tsv` — one row per unique job: file stem (a hash of the
-//!   job key), status (`done`/`partial`), segments executed, accesses
-//!   executed, total accesses, and the full job key. Rewritten
-//!   atomically (write + rename) after every state change.
-//! * `<stem>.snap` — the latest session snapshot of a partial job
-//!   (the versioned binary format of [`SimSession::snapshot`](triangel_sim::SimSession::snapshot)).
-//!   Removed when the job completes.
-//! * `<stem>.report.bin` — the finished job's [`RunReport`], in the
-//!   same binary framing, so a resumed campaign reproduces its results
-//!   byte-identically without re-simulating.
+//! * a finished job is the store's report entry for its key
+//!   (`entries/`), so figure sweeps sharing the store hit it too;
+//! * an in-flight job's latest
+//!   [`SimSession::snapshot`](triangel_sim::SimSession::snapshot) is the
+//!   store's snapshot entry for its key (`snaps/`), removed once the
+//!   report is published.
+//!
+//! Both kinds share the store's envelope, so a corrupt or stale
+//! checkpoint is discarded loudly and its job re-runs from access 0,
+//! exactly like a corrupt report.
 //!
 //! Determinism: segmented execution is byte-identical to uninterrupted
 //! execution (the `snapshot_equivalence` suite pins this), and the
@@ -30,31 +32,19 @@
 //! `--jobs` is.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use triangel_obs::TraceArg;
 use triangel_sim::RunReport;
-use triangel_store::{key_stem, write_atomic, ResultStore};
+use triangel_store::ResultStore;
 use triangel_types::snap::SnapError;
-
-// The report framing grew up and moved out (to `triangel-store`, which
-// shares it between campaign artifacts and store entries); re-exported
-// here so existing callers keep working.
-pub use triangel_store::{report_from_bytes, report_to_bytes, REPORT_MAGIC, REPORT_VERSION};
 
 use crate::job::JobSpec;
 use crate::pool;
 use crate::sweep::{JobError, Progress, ResultCache};
-
-/// Header line opening `manifest.tsv`. v2 inserts a `wall_ms` column
-/// (cumulative host wall-time spent executing the job, across every
-/// invocation that touched it) before the key; v1 rows are still
-/// accepted on load with `wall_ms = 0`. Wall-time is observational —
-/// it never enters content keys or resume decisions.
-const MANIFEST_HEADER: &str = "# triangel campaign manifest v2";
 
 /// How a campaign executes.
 #[derive(Debug, Clone)]
@@ -63,14 +53,15 @@ pub struct CampaignOptions {
     pub workers: usize,
     /// Accesses per core to run per segment (the checkpoint interval).
     pub segment_accesses: u64,
-    /// Directory for snapshots, reports and the manifest.
+    /// The store directory the campaign persists reports and
+    /// checkpoints into (unless [`CampaignOptions::store`] is set).
     pub out_dir: PathBuf,
     /// Per-segment progress reporting.
     pub progress: Progress,
     /// Maximum segments to execute across the whole invocation
     /// (`None` = unlimited). When the budget runs out, in-flight jobs
     /// checkpoint and report [`JobOutcome::Interrupted`]; a later run
-    /// with the same `out_dir` picks them up where they stopped. This
+    /// against the same store picks them up where they stopped. This
     /// is also how tests and CI force a mid-flight "kill".
     pub max_segments: Option<u64>,
     /// Wall-clock budget for this invocation (`None` = unlimited).
@@ -82,17 +73,15 @@ pub struct CampaignOptions {
     /// observational: tracing never changes what is simulated or
     /// persisted.
     pub trace: Option<Arc<triangel_obs::TraceBuffer>>,
-    /// Shared cross-process [`ResultStore`]. When set, the campaign
-    /// serves finished jobs from the store (counted as `loaded`, like
-    /// its private `--out-dir` reports) and publishes every report it
-    /// finishes — or has finished — back into it, so a later sweep or
-    /// campaign over the same grid is all hits.
+    /// An already open [`ResultStore`] to persist into instead of
+    /// opening one at `out_dir`; its counters then include the
+    /// campaign's traffic.
     pub store: Option<Arc<ResultStore>>,
 }
 
 impl CampaignOptions {
-    /// A campaign writing under `out_dir`, with one worker per core,
-    /// 250k-access segments, and no budgets.
+    /// A campaign persisting into the store at `out_dir`, with one
+    /// worker per core, 250k-access segments, and no budgets.
     pub fn new(out_dir: impl Into<PathBuf>) -> Self {
         CampaignOptions {
             workers: 0,
@@ -154,8 +143,8 @@ impl CampaignOptions {
         self
     }
 
-    /// Bridges this campaign to a shared cross-process [`ResultStore`]
-    /// (see [`CampaignOptions::store`]).
+    /// Persists into this open store handle instead of opening
+    /// `out_dir` (see [`CampaignOptions::store`]).
     #[must_use]
     pub fn with_store(mut self, store: Arc<ResultStore>) -> Self {
         self.store = Some(store);
@@ -170,7 +159,7 @@ pub enum JobOutcome {
     /// is available.
     Done(Arc<RunReport>),
     /// The job was checkpointed mid-run when a budget ran out; a later
-    /// invocation with the same `out_dir` resumes it.
+    /// invocation against the same store resumes it.
     Interrupted {
         /// Accesses per core executed so far.
         executed: u64,
@@ -200,10 +189,10 @@ pub struct CampaignStats {
     pub unique: usize,
     /// Unique jobs finished by the end of this invocation.
     pub completed: usize,
-    /// Unique jobs satisfied from persisted reports without executing
-    /// a single access (the campaign-level cache-hit counter).
+    /// Unique jobs satisfied from the store's reports without
+    /// executing a single access (the campaign-level cache-hit counter).
     pub loaded: usize,
-    /// Unique jobs resumed from a mid-run snapshot.
+    /// Unique jobs resumed from a mid-run checkpoint.
     pub resumed: usize,
     /// Unique jobs left checkpointed when a budget ran out.
     pub interrupted: usize,
@@ -236,113 +225,6 @@ impl CampaignReport {
         self.outcomes
             .iter()
             .all(|o| matches!(o, JobOutcome::Done(_)))
-    }
-}
-
-/// One manifest row.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ManifestEntry {
-    stem: String,
-    done: bool,
-    segments: u64,
-    executed: u64,
-    total: u64,
-    /// Cumulative host wall-time spent simulating this job, summed
-    /// across every invocation that advanced it. Observational only.
-    wall_ms: u64,
-    key: String,
-}
-
-/// The persisted campaign state: key → entry, mirrored to
-/// `manifest.tsv` after every change.
-#[derive(Debug, Default)]
-struct Manifest {
-    entries: HashMap<String, ManifestEntry>,
-}
-
-impl Manifest {
-    fn load(path: &Path) -> std::io::Result<Manifest> {
-        let mut m = Manifest::default();
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(m),
-            Err(e) => return Err(e),
-        };
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            let fields: Vec<&str> = line.splitn(7, '\t').collect();
-            // v1 rows carry six columns; v2 inserts `wall_ms` before
-            // the key. Distinguish by field count so a v2 binary
-            // resumes a v1 campaign directory in place.
-            let (stem, status, segments, executed, total, wall_ms, key) = match fields.as_slice() {
-                [stem, status, segments, executed, total, key] => {
-                    (*stem, *status, *segments, *executed, *total, "0", *key)
-                }
-                [stem, status, segments, executed, total, wall_ms, key] => {
-                    (*stem, *status, *segments, *executed, *total, *wall_ms, *key)
-                }
-                _ => continue, // tolerate a torn final line from a hard kill
-            };
-            let (Ok(segments), Ok(executed), Ok(total), Ok(wall_ms)) = (
-                segments.parse(),
-                executed.parse(),
-                total.parse(),
-                wall_ms.parse(),
-            ) else {
-                continue;
-            };
-            m.entries.insert(
-                key.to_string(),
-                ManifestEntry {
-                    stem: stem.to_string(),
-                    done: status == "done",
-                    segments,
-                    executed,
-                    total,
-                    wall_ms,
-                    key: key.to_string(),
-                },
-            );
-        }
-        Ok(m)
-    }
-
-    fn render(&self) -> String {
-        let mut rows: Vec<&ManifestEntry> = self.entries.values().collect();
-        rows.sort_unstable_by(|a, b| a.key.cmp(&b.key));
-        let mut out = String::from(MANIFEST_HEADER);
-        out.push('\n');
-        for e in rows {
-            out.push_str(&format!(
-                "{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-                e.stem,
-                if e.done { "done" } else { "partial" },
-                e.segments,
-                e.executed,
-                e.total,
-                e.wall_ms,
-                e.key,
-            ));
-        }
-        out
-    }
-}
-
-/// Shared mutable campaign state: the manifest plus its path, guarded
-/// so workers can checkpoint concurrently.
-struct ManifestStore {
-    path: PathBuf,
-    manifest: Mutex<Manifest>,
-}
-
-impl ManifestStore {
-    fn update(&self, entry: ManifestEntry) {
-        let mut m = self.manifest.lock().unwrap();
-        m.entries.insert(entry.key.clone(), entry);
-        let rendered = m.render();
-        // Persist while holding the lock so renders never interleave.
-        if let Err(e) = write_atomic(&self.path, rendered.as_bytes()) {
-            eprintln!("[campaign] manifest write failed: {e}");
-        }
     }
 }
 
@@ -385,23 +267,20 @@ impl Campaign {
 
     /// Runs (or resumes) the campaign.
     ///
-    /// Jobs already finished under `opts.out_dir` load their persisted
-    /// reports without executing; partially finished jobs restore their
-    /// snapshots and continue from the interrupted segment. The
-    /// assembled results are byte-identical to a clean, uninterrupted
-    /// run of the same job list.
+    /// Each unique job resolves in a fixed order: its report in the
+    /// store (counted as `loaded`; no session is built), else its
+    /// checkpoint (restored and counted as `resumed`), else a fresh
+    /// run. The assembled results are byte-identical to a clean,
+    /// uninterrupted run of the same job list.
     ///
     /// # Errors
     ///
-    /// I/O errors preparing the output directory or reading the
-    /// manifest. Per-job failures are reported in the outcomes, not
-    /// here.
+    /// I/O errors opening the store at `opts.out_dir`. Per-job failures
+    /// are reported in the outcomes, not here.
     pub fn run(&self, opts: &CampaignOptions) -> std::io::Result<CampaignReport> {
-        std::fs::create_dir_all(&opts.out_dir)?;
-        let manifest_path = opts.out_dir.join("manifest.tsv");
-        let store = ManifestStore {
-            manifest: Mutex::new(Manifest::load(&manifest_path)?),
-            path: manifest_path,
+        let store = match &opts.store {
+            Some(store) => Arc::clone(store),
+            None => Arc::new(ResultStore::open(&opts.out_dir)?),
         };
 
         let keys: Vec<String> = self.jobs.iter().map(JobSpec::key).collect();
@@ -416,31 +295,23 @@ impl Campaign {
             }
         }
 
-        let segment_budget = AtomicI64::new(match opts.max_segments {
-            Some(n) => i64::try_from(n).unwrap_or(i64::MAX),
-            None => i64::MAX,
-        });
-        let deadline = opts.wall_budget.map(|b| Instant::now() + b);
-        let segments_run = AtomicU64::new(0);
-        let accesses_run = AtomicU64::new(0);
-        let loaded = AtomicU64::new(0);
-        let resumed = AtomicU64::new(0);
-
+        let invocation = Invocation {
+            opts,
+            store: &store,
+            segment_budget: AtomicI64::new(match opts.max_segments {
+                Some(n) => i64::try_from(n).unwrap_or(i64::MAX),
+                None => i64::MAX,
+            }),
+            deadline: opts.wall_budget.map(|b| Instant::now() + b),
+            segments_run: AtomicU64::new(0),
+            accesses_run: AtomicU64::new(0),
+            loaded: AtomicU64::new(0),
+            resumed: AtomicU64::new(0),
+        };
         let outcomes: Vec<JobOutcome> =
             pool::run_indexed(unique.len(), opts.workers_effective(), |i| {
                 let (job, key) = unique[i];
-                self.run_one(
-                    job,
-                    key,
-                    opts,
-                    &store,
-                    &segment_budget,
-                    deadline,
-                    &segments_run,
-                    &accesses_run,
-                    &loaded,
-                    &resumed,
-                )
+                invocation.run_job(job, key)
             });
 
         // Publish finished reports to a cache keyed like sweeps are.
@@ -455,25 +326,17 @@ impl Campaign {
             .iter()
             .map(|key| outcomes[slot_of_key[key.as_str()]].clone())
             .collect();
+        let count = |pred: fn(&JobOutcome) -> bool| outcomes.iter().filter(|o| pred(o)).count();
         let stats = CampaignStats {
             jobs: self.jobs.len(),
             unique: unique.len(),
-            completed: outcomes
-                .iter()
-                .filter(|o| matches!(o, JobOutcome::Done(_)))
-                .count(),
-            loaded: loaded.load(Ordering::Relaxed) as usize,
-            resumed: resumed.load(Ordering::Relaxed) as usize,
-            interrupted: outcomes
-                .iter()
-                .filter(|o| matches!(o, JobOutcome::Interrupted { .. }))
-                .count(),
-            segments_run: segments_run.load(Ordering::Relaxed),
-            accesses_run: accesses_run.load(Ordering::Relaxed),
-            errors: outcomes
-                .iter()
-                .filter(|o| matches!(o, JobOutcome::Failed(_)))
-                .count(),
+            completed: count(|o| matches!(o, JobOutcome::Done(_))),
+            loaded: invocation.loaded.load(Ordering::Relaxed) as usize,
+            resumed: invocation.resumed.load(Ordering::Relaxed) as usize,
+            interrupted: count(|o| matches!(o, JobOutcome::Interrupted { .. })),
+            segments_run: invocation.segments_run.load(Ordering::Relaxed),
+            accesses_run: invocation.accesses_run.load(Ordering::Relaxed),
+            errors: count(|o| matches!(o, JobOutcome::Failed(_))),
         };
         Ok(CampaignReport {
             outcomes: results,
@@ -482,26 +345,26 @@ impl Campaign {
             cache,
         })
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_one(
-        &self,
-        job: &JobSpec,
-        key: &str,
-        opts: &CampaignOptions,
-        store: &ManifestStore,
-        segment_budget: &AtomicI64,
-        deadline: Option<Instant>,
-        segments_run: &AtomicU64,
-        accesses_run: &AtomicU64,
-        loaded: &AtomicU64,
-        resumed: &AtomicU64,
-    ) -> JobOutcome {
-        let stem = key_stem(key);
-        let snap_path = opts.out_dir.join(format!("{stem}.snap"));
-        let report_path = opts.out_dir.join(format!("{stem}.report.bin"));
-        let progress = opts.progress == Progress::Stderr;
-        let trace = opts.trace.as_deref();
+/// The store, budgets and counters every worker of one
+/// [`Campaign::run`] invocation shares.
+struct Invocation<'a> {
+    opts: &'a CampaignOptions,
+    store: &'a ResultStore,
+    segment_budget: AtomicI64,
+    deadline: Option<Instant>,
+    segments_run: AtomicU64,
+    accesses_run: AtomicU64,
+    loaded: AtomicU64,
+    resumed: AtomicU64,
+}
+
+impl Invocation<'_> {
+    fn run_job(&self, job: &JobSpec, key: &str) -> JobOutcome {
+        let store = self.store;
+        let progress = self.opts.progress == Progress::Stderr;
+        let trace = self.opts.trace.as_deref();
         let job_start = trace.map(|t| t.now_us());
         // Closes this job's wall-time span in the host trace; tagged
         // with how the job left this invocation.
@@ -518,94 +381,38 @@ impl Campaign {
                 );
             }
         };
-
-        // Finished in an earlier invocation: load the persisted report.
-        let prior = {
-            let m = store.manifest.lock().unwrap();
-            m.entries.get(key).cloned()
-        };
-        // Wall-time already spent on this job by earlier invocations;
-        // this invocation's segments accumulate on top.
-        let mut wall_ms = prior.as_ref().map_or(0, |e| e.wall_ms);
-        if let Some(entry) = &prior {
-            if entry.done {
-                match std::fs::read(&report_path)
-                    .map_err(|e| SnapError::corrupt(e.to_string()))
-                    .and_then(|b| report_from_bytes(&b))
-                {
-                    Ok(report) => {
-                        loaded.fetch_add(1, Ordering::Relaxed);
-                        let report = Arc::new(report);
-                        // Bridge to the shared store: a report this
-                        // campaign already owns becomes a hit for every
-                        // other process sweeping the same grid.
-                        if let Some(shared) = &opts.store {
-                            if shared.get(key).is_none() {
-                                shared.put(key, &report);
-                            }
-                        }
-                        if progress {
-                            eprintln!("[campaign] loaded  {key}");
-                        }
-                        job_span("loaded");
-                        return JobOutcome::Done(report);
-                    }
-                    Err(e) => {
-                        // Stale or corrupt artifact: re-run from scratch.
-                        eprintln!("[campaign] discarding report for {key}: {e}");
-                    }
-                }
-            }
-        }
-
-        let mut session = match job.session() {
-            Ok(s) => s,
-            Err(e) => {
+        let build = || {
+            job.session().map_err(|e| {
                 job_span("failed");
-                return JobOutcome::Failed(JobError {
+                JobOutcome::Failed(JobError {
                     key: key.to_string(),
                     message: e.to_string(),
-                });
-            }
+                })
+            })
         };
-        let total = session.total_accesses();
-        let mut segments_done = 0u64;
 
-        // Finished by some *other* process sharing the store: persist
-        // its report as our own artifact and serve it without
-        // simulating — the cross-process analogue of the
-        // report-loaded path above.
-        if let Some(report) = opts.store.as_ref().and_then(|s| s.get(key)) {
-            if let Err(e) = write_atomic(&report_path, &report_to_bytes(&report)) {
-                eprintln!("[campaign] report write failed for {key}: {e}");
-            }
-            store.update(ManifestEntry {
-                stem: stem.clone(),
-                done: true,
-                segments: 0,
-                executed: total,
-                total,
-                wall_ms,
-                key: key.to_string(),
-            });
-            let _ = std::fs::remove_file(&snap_path);
-            loaded.fetch_add(1, Ordering::Relaxed);
+        // Finished earlier, by this campaign or by any process sharing
+        // the store: serve the report without building a session.
+        if let Some(report) = store.get(key) {
+            self.loaded.fetch_add(1, Ordering::Relaxed);
             if progress {
-                eprintln!("[campaign] loaded  {key} (from store)");
+                eprintln!("[campaign] loaded  {key}");
             }
             job_span("loaded");
             return JobOutcome::Done(report);
         }
 
+        let mut session = match build() {
+            Ok(s) => s,
+            Err(failed) => return failed,
+        };
+        let total = session.total_accesses();
+
         // Partially finished earlier: restore the checkpoint.
-        if let Some(entry) = prior.filter(|e| !e.done) {
-            match std::fs::read(&snap_path)
-                .map_err(|e| SnapError::corrupt(e.to_string()))
-                .and_then(|b| session.restore(&b))
-            {
+        if let Some(snapshot) = store.get_snapshot(key) {
+            match session.restore(&snapshot) {
                 Ok(()) => {
-                    segments_done = entry.segments;
-                    resumed.fetch_add(1, Ordering::Relaxed);
+                    self.resumed.fetch_add(1, Ordering::Relaxed);
                     if progress {
                         eprintln!(
                             "[campaign] resumed {key} at {}/{total}",
@@ -615,15 +422,10 @@ impl Campaign {
                 }
                 Err(e) => {
                     eprintln!("[campaign] discarding snapshot for {key}: {e}");
-                    session = match job.session() {
+                    store.remove_snapshot(key);
+                    session = match build() {
                         Ok(s) => s,
-                        Err(e) => {
-                            job_span("failed");
-                            return JobOutcome::Failed(JobError {
-                                key: key.to_string(),
-                                message: e.to_string(),
-                            });
-                        }
+                        Err(failed) => return failed,
                     };
                 }
             }
@@ -632,39 +434,12 @@ impl Campaign {
         // Whether this session's state can be checkpointed at all
         // (custom boxed sources cannot); decided on first attempt.
         let mut checkpointable = true;
-        // Segments executed by *this* invocation: a budget that bites
-        // before the first one means nothing changed on disk, so no
-        // snapshot or manifest write is owed.
-        let mut ran_this_invocation = false;
-        let checkpoint = |done: bool, segments: u64, executed: u64, wall_ms: u64| {
-            store.update(ManifestEntry {
-                stem: stem.clone(),
-                done,
-                segments,
-                executed,
-                total,
-                wall_ms,
-                key: key.to_string(),
-            });
-        };
-
         while !session.is_complete() {
-            let out_of_budget = segment_budget.fetch_sub(1, Ordering::SeqCst) <= 0
-                || deadline.is_some_and(|d| Instant::now() >= d);
+            let out_of_budget = self.segment_budget.fetch_sub(1, Ordering::SeqCst) <= 0
+                || self.deadline.is_some_and(|d| Instant::now() >= d);
             if out_of_budget {
-                if ran_this_invocation {
-                    if checkpointable {
-                        match session.snapshot() {
-                            Ok(bytes) => {
-                                if let Err(e) = write_atomic(&snap_path, &bytes) {
-                                    eprintln!("[campaign] checkpoint write failed for {key}: {e}");
-                                }
-                            }
-                            Err(e) => eprintln!("[campaign] checkpoint failed for {key}: {e}"),
-                        }
-                    }
-                    checkpoint(false, segments_done, session.executed_accesses(), wall_ms);
-                }
+                // Every segment already run was checkpointed as it
+                // finished, so stopping here owes no write.
                 if progress {
                     eprintln!(
                         "[campaign] paused  {key} at {}/{total} (budget exhausted)",
@@ -678,10 +453,8 @@ impl Campaign {
                 };
             }
 
-            let seg_wall = Instant::now();
             let seg_span = trace.map(|t| t.now_us());
-            let ran = session.run_segment(opts.segment_accesses);
-            wall_ms += u64::try_from(seg_wall.elapsed().as_millis()).unwrap_or(u64::MAX);
+            let ran = session.run_segment(self.opts.segment_accesses);
             if let (Some(t), Some(start)) = (trace, seg_span) {
                 t.complete(
                     "segment",
@@ -697,10 +470,8 @@ impl Campaign {
                     ],
                 );
             }
-            segments_done += 1;
-            ran_this_invocation = true;
-            segments_run.fetch_add(1, Ordering::Relaxed);
-            accesses_run.fetch_add(ran, Ordering::Relaxed);
+            self.segments_run.fetch_add(1, Ordering::Relaxed);
+            self.accesses_run.fetch_add(ran, Ordering::Relaxed);
             if progress {
                 eprintln!(
                     "[campaign] segment {key} {}/{total} ({:.0}%)",
@@ -711,13 +482,7 @@ impl Campaign {
 
             if !session.is_complete() && checkpointable {
                 match session.snapshot() {
-                    Ok(bytes) => {
-                        if let Err(e) = write_atomic(&snap_path, &bytes) {
-                            eprintln!("[campaign] checkpoint write failed for {key}: {e}");
-                        } else {
-                            checkpoint(false, segments_done, session.executed_accesses(), wall_ms);
-                        }
-                    }
+                    Ok(bytes) => store.put_snapshot(key, &bytes),
                     Err(SnapError::Unsupported(why)) => {
                         // Run on without checkpoints rather than fail.
                         eprintln!("[campaign] {key}: not checkpointable ({why})");
@@ -728,15 +493,11 @@ impl Campaign {
             }
         }
 
+        // Publish before dropping the checkpoint: a kill in between
+        // leaves a report, which the next invocation loads.
         let report = Arc::new(session.report());
-        if let Err(e) = write_atomic(&report_path, &report_to_bytes(&report)) {
-            eprintln!("[campaign] report write failed for {key}: {e}");
-        }
-        if let Some(shared) = &opts.store {
-            shared.put(key, &report);
-        }
-        checkpoint(true, segments_done, total, wall_ms);
-        let _ = std::fs::remove_file(&snap_path);
+        store.put(key, &report);
+        store.remove_snapshot(key);
         if progress {
             eprintln!("[campaign] done    {key}");
         }
@@ -757,81 +518,7 @@ impl CampaignOptions {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn key_stems_are_stable_and_distinct() {
-        let a = key_stem("spec:Xalan|pf=Triangel");
-        assert_eq!(a, key_stem("spec:Xalan|pf=Triangel"));
-        assert_ne!(a, key_stem("spec:Xalan|pf=Triage"));
-        assert_eq!(a.len(), 16);
-    }
-
-    #[test]
-    fn manifest_round_trips() {
-        let mut m = Manifest::default();
-        m.entries.insert(
-            "k1".into(),
-            ManifestEntry {
-                stem: "abc".into(),
-                done: false,
-                segments: 3,
-                executed: 750,
-                total: 1000,
-                wall_ms: 412,
-                key: "k1".into(),
-            },
-        );
-        m.entries.insert(
-            "k2".into(),
-            ManifestEntry {
-                stem: "def".into(),
-                done: true,
-                segments: 4,
-                executed: 1000,
-                total: 1000,
-                wall_ms: 0,
-                key: "k2".into(),
-            },
-        );
-        let rendered = m.render();
-        assert!(rendered.starts_with(MANIFEST_HEADER));
-        let dir = std::env::temp_dir().join(format!("triangel-manifest-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("manifest.tsv");
-        write_atomic(&path, rendered.as_bytes()).unwrap();
-        let loaded = Manifest::load(&path).unwrap();
-        assert_eq!(loaded.entries.get("k1"), m.entries.get("k1"));
-        assert_eq!(loaded.entries.get("k2"), m.entries.get("k2"));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn v1_manifest_rows_load_with_zero_wall_time() {
-        // A manifest written by a pre-wall-time binary resumes in
-        // place: six-column rows parse with `wall_ms = 0`.
-        let dir = std::env::temp_dir().join(format!("triangel-manifest-v1-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("manifest.tsv");
-        let v1 = "# triangel campaign manifest v1\n\
-                  abc\tpartial\t3\t750\t1000\tk1\n\
-                  def\tdone\t4\t1000\t1000\tk2\n";
-        write_atomic(&path, v1.as_bytes()).unwrap();
-        let loaded = Manifest::load(&path).unwrap();
-        assert_eq!(loaded.entries.len(), 2);
-        let k1 = loaded.entries.get("k1").unwrap();
-        assert_eq!((k1.segments, k1.executed, k1.wall_ms), (3, 750, 0));
-        assert!(loaded.entries.get("k2").unwrap().done);
-        // Rendering upgrades the directory to the v2 schema.
-        assert!(loaded.render().starts_with(MANIFEST_HEADER));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn missing_manifest_is_empty() {
-        let m = Manifest::load(Path::new("/nonexistent/manifest.tsv")).unwrap();
-        assert!(m.entries.is_empty());
-    }
+    use triangel_store::{report_from_bytes, report_to_bytes};
 
     #[test]
     fn sampled_report_framing_round_trips() {

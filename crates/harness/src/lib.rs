@@ -17,8 +17,9 @@
 //!   baselines (e.g. the stride-only normalization run every figure
 //!   needs) execute once per sweep — or once per *process* when the
 //!   cache is shared across sweeps — and the hit counter is reported.
-//! * [`ResultStore`] — the optional on-disk, content-addressed store
-//!   (`--store DIR`) that shares finished runs across processes. A
+//! * [`ResultStore`] — the on-disk, content-addressed store that
+//!   shares finished runs across processes: optional for sweeps
+//!   (`--store DIR`), and a [`Campaign`]'s only persistent state. A
 //!   sweep resolves each job from its [`ResultCache`] first, then the
 //!   store (claim, execute, publish), and only then executes locally.
 //! * [`Sweep`] / [`GridSpec`] — the aggregation layer: a flat job list

@@ -1,12 +1,14 @@
 //! Campaign crash-resume semantics: killing a sweep mid-flight and
-//! re-running with the same `--out-dir` must produce byte-identical
+//! re-running against the same store must produce byte-identical
 //! results to a clean run, without re-executing completed work.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use triangel_harness::{
-    Campaign, CampaignOptions, JobOutcome, JobSpec, RunParams, Sweep, SweepOptions, WorkloadSpec,
+    Campaign, CampaignOptions, JobOutcome, JobSpec, ResultStore, RunParams, Sweep, SweepOptions,
+    WorkloadSpec,
 };
 use triangel_sim::PrefetcherChoice;
 use triangel_workloads::spec::SpecWorkload;
@@ -40,6 +42,11 @@ fn scratch_dir(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("triangel-campaign-{}-{}", tag, std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Jobs with a checkpoint entry in the store at `dir`.
+fn snapshot_entries(dir: &Path) -> usize {
+    std::fs::read_dir(dir.join("snaps")).unwrap().count()
 }
 
 /// Every finished report, rendered exhaustively, keyed by job key.
@@ -104,20 +111,16 @@ fn interrupted_campaign_resumes_byte_identically() {
     assert!(!interrupted.is_complete(), "budget must bite");
     assert!(interrupted.stats.interrupted > 0);
     assert_eq!(interrupted.stats.segments_run, 7);
-    assert!(dir.join("manifest.tsv").exists());
+    assert!(dir.join("store.meta").exists());
     // Jobs the budget stopped *before their first segment* write no
     // checkpoint (there is nothing to save); everything that did make
-    // progress must appear as a partial manifest row. Counted now —
-    // the resumed run below rewrites the manifest.
-    let partial_rows = std::fs::read_to_string(dir.join("manifest.tsv"))
-        .unwrap()
-        .lines()
-        .filter(|l| l.split('\t').nth(1) == Some("partial"))
-        .count();
+    // progress must hold a snapshot entry. Counted now — the resumed
+    // run below removes them.
+    let partial_rows = snapshot_entries(&dir);
     assert!(partial_rows > 0, "some job must have checkpointed mid-run");
 
-    // Re-run with the same out-dir: completed jobs load from disk,
-    // partial jobs resume from their snapshots.
+    // Re-run against the same store: completed jobs load their
+    // reports, partial jobs resume from their snapshots.
     let resumed = Campaign::new()
         .jobs(job_list.clone())
         .run(
@@ -144,6 +147,11 @@ fn interrupted_campaign_resumes_byte_identically() {
         render(&resumed),
         reference,
         "resumed sweep diverged from clean run"
+    );
+    assert_eq!(
+        snapshot_entries(&dir),
+        0,
+        "finished jobs drop their checkpoints"
     );
 
     // A third invocation is all cache hits: nothing executes.
@@ -215,10 +223,10 @@ fn campaign_cache_slots_into_sweep_folds() {
 #[test]
 fn report_bytes_round_trip() {
     let report = jobs()[0].run().unwrap();
-    let bytes = triangel_harness::campaign::report_to_bytes(&report);
-    let parsed = triangel_harness::campaign::report_from_bytes(&bytes).unwrap();
+    let bytes = triangel_store::report_to_bytes(&report);
+    let parsed = triangel_store::report_from_bytes(&bytes).unwrap();
     assert_eq!(format!("{report:?}"), format!("{parsed:?}"));
-    assert!(triangel_harness::campaign::report_from_bytes(&bytes[..bytes.len() - 2]).is_err());
+    assert!(triangel_store::report_from_bytes(&bytes[..bytes.len() - 2]).is_err());
 }
 
 /// The acceptance bar: snapshot/restore/continue on the *golden
@@ -346,15 +354,11 @@ fn mid_trace_interrupt_resumes_byte_identically() {
         )
         .unwrap();
     assert!(!interrupted.is_complete(), "budget must bite");
-    let partial_trace_rows = std::fs::read_to_string(dir.join("manifest.tsv"))
-        .unwrap()
-        .lines()
-        .filter(|l| l.split('\t').nth(1) == Some("partial"))
-        .filter(|l| {
-            l.split('\t')
-                .nth(6)
-                .is_some_and(|key| key.starts_with("trace:"))
-        })
+    let store = ResultStore::open(&dir).unwrap();
+    let partial_trace_rows = job_list
+        .iter()
+        .map(JobSpec::key)
+        .filter(|key| key.starts_with("trace:") && store.get_snapshot(key).is_some())
         .count();
     assert!(
         partial_trace_rows > 0,
@@ -380,25 +384,21 @@ fn mid_trace_interrupt_resumes_byte_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The campaign ↔ store bridge, both directions: a campaign publishes
-/// everything it finishes into the shared store (so sweeps and other
-/// campaigns hit), and a campaign over a fresh `--out-dir` is served
-/// from the store without running a single segment.
+/// Campaigns and sweeps share results through one store, both ways:
+/// a campaign persists into the store at its `out_dir` (so sweeps over
+/// that directory hit), and a campaign handed an open store is served
+/// from it without running a single segment.
 #[test]
 fn campaign_bridges_the_shared_store_both_ways() {
-    use std::sync::Arc;
-    use triangel_harness::ResultStore;
-
     let store_dir = scratch_dir("bridge-store");
     let job_list = jobs();
 
     // Campaign A executes everything and publishes into the store.
     let store_a = Arc::new(ResultStore::open(&store_dir).unwrap());
-    let dir_a = scratch_dir("bridge-a");
     let a = Campaign::new()
         .jobs(job_list.clone())
         .run(
-            &CampaignOptions::new(&dir_a)
+            &CampaignOptions::new(&store_dir)
                 .workers(2)
                 .segment_accesses(SEGMENT)
                 .with_store(Arc::clone(&store_a)),
@@ -421,8 +421,8 @@ fn campaign_bridges_the_shared_store_both_ways() {
         "sweep must be served from the campaign's publishes"
     );
 
-    // Campaign B, fresh out-dir, same store: all loads, zero segments,
-    // byte-identical outcomes.
+    // Campaign B, handed the open store: all loads, zero segments,
+    // byte-identical outcomes, and nothing written at its own out-dir.
     let dir_b = scratch_dir("bridge-b");
     let b = Campaign::new()
         .jobs(job_list)
@@ -439,10 +439,92 @@ fn campaign_bridges_the_shared_store_both_ways() {
     );
     assert_eq!(b.stats.segments_run, 0);
     assert_eq!(render(&a), render(&b));
+    assert!(!dir_b.exists(), "a campaign with a store handle uses it");
 
-    for dir in [&store_dir, &dir_a, &dir_b] {
-        let _ = std::fs::remove_dir_all(dir);
-    }
+    let _ = std::fs::remove_dir_all(&store_dir);
+}
+
+/// A checkpoint that rots on disk is discarded loudly like any store
+/// entry: its job is not resumed but re-runs from access 0, and the
+/// results still equal a clean run's.
+#[test]
+fn corrupt_snapshot_entry_reruns_its_job_from_scratch() {
+    let job_list = jobs();
+    let per_job = (WARMUP + ACCESSES).div_ceil(SEGMENT);
+    let reference = {
+        let dir = scratch_dir("corrupt-snap-ref");
+        let clean = Campaign::new()
+            .jobs(job_list.clone())
+            .run(
+                &CampaignOptions::new(&dir)
+                    .workers(1)
+                    .segment_accesses(SEGMENT),
+            )
+            .unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        render(&clean)
+    };
+
+    // One worker runs the jobs in order: the budget finishes job 0 and
+    // stops job 1 after its first segment, checkpointed.
+    let dir = scratch_dir("corrupt-snap");
+    let opts = |budget: Option<u64>| {
+        let o = CampaignOptions::new(&dir)
+            .workers(1)
+            .segment_accesses(SEGMENT)
+            .with_store(Arc::new(ResultStore::open(&dir).unwrap()));
+        match budget {
+            Some(b) => o.max_segments(b),
+            None => o,
+        }
+    };
+    let interrupted = Campaign::new()
+        .jobs(job_list.clone())
+        .run(&opts(Some(per_job + 1)))
+        .unwrap();
+    assert_eq!(interrupted.stats.completed, 1);
+    assert_eq!(snapshot_entries(&dir), 1, "job 1 must have checkpointed");
+
+    // Flip one payload byte (the checksum is the final 8 bytes).
+    let snap = std::fs::read_dir(dir.join("snaps"))
+        .unwrap()
+        .next()
+        .unwrap()
+        .unwrap()
+        .path();
+    let mut bytes = std::fs::read(&snap).unwrap();
+    let idx = bytes.len() - 9;
+    bytes[idx] ^= 0x40;
+    std::fs::write(&snap, &bytes).unwrap();
+
+    let resume_opts = opts(None);
+    let resumed = Campaign::new()
+        .jobs(job_list.clone())
+        .run(&resume_opts)
+        .unwrap();
+    let store = resume_opts.store.as_ref().unwrap();
+    assert_eq!(
+        store.stats().discards(),
+        1,
+        "the bad snapshot must be discarded loudly"
+    );
+    assert_eq!(
+        resumed.stats.resumed, 0,
+        "a discarded snapshot is not a resume"
+    );
+    assert_eq!(resumed.stats.loaded, 1);
+    assert_eq!(
+        resumed.stats.segments_run,
+        (job_list.len() as u64 - 1) * per_job,
+        "the corrupted job must re-run from access 0"
+    );
+    assert_eq!(
+        render(&resumed),
+        reference,
+        "results must equal a clean run"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -129,8 +129,9 @@ proptest! {
         prop_assert_eq!(ka, ja.clone().key());
     }
 
-    /// Keys are manifest-safe: single line, no tabs (the campaign
-    /// manifest is tab-separated with the key as the final field).
+    /// Keys are single-line and tab-free, so every line-oriented
+    /// record that quotes one verbatim (progress and store diagnostics
+    /// on stderr) stays one line per event.
     #[test]
     fn keys_are_manifest_safe(d in (
         (0usize..9, 0usize..14, 0usize..3),

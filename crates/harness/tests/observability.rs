@@ -81,8 +81,7 @@ fn evict_train_fixture_is_byte_identical_with_sampling_on() {
 fn campaign_resume_reproduces_the_sampled_series() {
     // One sampled job, run three ways: as an uninterrupted sweep, as
     // an uninterrupted campaign, and as a campaign killed after two
-    // segments and resumed. All three series must be equal — and the
-    // manifest's wall-time column must survive the resume.
+    // segments and resumed. All three series must be equal.
     let job = {
         let golden = triangel_harness::goldens::golden_sweep();
         golden.jobs()[3].clone().sample_every(EVERY) // Xalan x Triangel
@@ -133,15 +132,6 @@ fn campaign_resume_reproduces_the_sampled_series() {
         loaded.outcomes[0].report().unwrap().intervals.as_ref(),
         Some(&want)
     );
-
-    // The manifest carries the accumulated wall-time column.
-    let manifest = std::fs::read_to_string(dir.join("manifest.tsv")).unwrap();
-    assert!(manifest.starts_with("# triangel campaign manifest v2"));
-    let row = manifest.lines().nth(1).expect("one job row");
-    let fields: Vec<&str> = row.split('\t').collect();
-    assert_eq!(fields.len(), 7, "v2 rows carry wall_ms before the key");
-    assert_eq!(fields[1], "done");
-    fields[5].parse::<u64>().expect("wall_ms is a number");
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

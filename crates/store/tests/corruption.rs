@@ -9,7 +9,8 @@
 //! 8..16   ENTRY_MAGIC
 //! 16..20  u32 STORE_FORMAT_VERSION
 //! 20..24  u32 SNAPSHOT_VERSION
-//! 24..    key (length-prefixed), payload (length-prefixed), checksum
+//! 24..28  u32 entry kind (report or snapshot)
+//! 28..    key (length-prefixed), payload (length-prefixed), checksum
 //! ```
 
 use std::sync::Arc;
@@ -151,4 +152,29 @@ fn garbage_magic_is_discarded() {
     std::fs::write(&path, &bytes).unwrap();
     assert_discarded(&store, &key, &path, "bad-magic");
     let _ = std::fs::remove_dir_all(store.dir());
+}
+
+#[test]
+fn snapshot_entry_never_reads_as_a_report() {
+    // A checkpoint entry shares the report envelope but carries the
+    // other kind tag: moved into a report slot, it must discard, not
+    // decode.
+    let dir = temp_dir("wrong-kind");
+    let store = ResultStore::open(&dir).unwrap();
+    let key = tiny_job().key();
+    store.put_snapshot(&key, b"session snapshot bytes");
+    assert_eq!(
+        store.get_snapshot(&key).as_deref(),
+        Some(&b"session snapshot bytes"[..])
+    );
+    let snap = std::fs::read_dir(dir.join("snaps"))
+        .unwrap()
+        .next()
+        .unwrap()
+        .unwrap()
+        .path();
+    let path = store.entry_path(&key);
+    std::fs::copy(&snap, &path).unwrap();
+    assert_discarded(&store, &key, &path, "wrong-kind");
+    let _ = std::fs::remove_dir_all(&dir);
 }

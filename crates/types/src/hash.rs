@@ -16,9 +16,8 @@
 //! unlike `RandomState`, makes the hash itself reproducible too.
 //!
 //! [`fnv1a`] is the 64-bit FNV-1a hash. It checksums recorded trace
-//! files, and (through [`fnv1a_with_prime`], see there) names and
-//! checksums result-store entries, so its output is part of those
-//! on-disk formats and must never change.
+//! files and names and checksums result-store entries, so its output
+//! is part of those on-disk formats and must never change.
 //!
 //! # Examples
 //!
@@ -51,18 +50,9 @@ pub const FNV_PRIME: u64 = 0x100_0000_01b3;
 /// assert_eq!(fnv1a(fnv1a(FNV_OFFSET, b"tr"), b"ace"), whole);
 /// ```
 pub fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    fnv1a_with_prime(FNV_PRIME, seed, bytes)
-}
-
-/// The FNV-1a xor-then-multiply loop with a caller-chosen multiplier.
-///
-/// Only for on-disk formats already written with a non-standard prime
-/// (the result store's entry stems and checksums); new code uses
-/// [`fnv1a`].
-pub fn fnv1a_with_prime(prime: u64, seed: u64, bytes: &[u8]) -> u64 {
     bytes
         .iter()
-        .fold(seed, |h, &b| (h ^ u64::from(b)).wrapping_mul(prime))
+        .fold(seed, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
 }
 
 /// The 64-bit FxHash multiplier (derived from the golden ratio).
