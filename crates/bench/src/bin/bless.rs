@@ -8,12 +8,16 @@
 //! # Regenerate every fixture (then inspect `git diff` and commit):
 //! cargo run --release -p triangel-bench --bin bless
 //!
-//! # Regenerate a subset:
-//! cargo run --release -p triangel-bench --bin bless -- --filter evict
+//! # Regenerate some fixtures, by exact name:
+//! cargo run --release -p triangel-bench --bin bless -- golden_evict_train
 //!
 //! # Verify without writing (CI: nonzero exit on any drift):
 //! cargo run --release -p triangel-bench --bin bless -- --check
 //! ```
+//!
+//! Usage: `bless [--check] [NAME...]`, where each `NAME` is one of
+//! `golden_sweep`, `golden_evict_train`, `golden_multicore` (none means
+//! all). An unknown name or flag exits 2 before anything runs.
 //!
 //! The sweep definitions live in `triangel_harness::goldens`, shared
 //! with the fixture tests, so what `bless` writes is exactly what the
@@ -22,7 +26,6 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use triangel_harness::filter::Pattern;
 use triangel_harness::goldens;
 
 struct Fixture {
@@ -56,44 +59,29 @@ fn fixtures() -> Vec<Fixture> {
 }
 
 fn main() -> ExitCode {
+    let all = fixtures();
     let mut check = false;
-    let mut filter: Option<Pattern> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--check" => check = true,
-            "--filter" => {
-                let v = match args.next() {
-                    Some(v) => v,
-                    None => {
-                        eprintln!("--filter needs a regex");
-                        return ExitCode::from(2);
-                    }
-                };
-                match Pattern::new(&v) {
-                    Ok(p) => filter = Some(p),
-                    Err(e) => {
-                        eprintln!("bad --filter regex: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            other => {
-                eprintln!("unknown argument `{other}` (expected --check, --filter RE)");
-                return ExitCode::from(2);
-            }
+    let mut names: Vec<String> = Vec::new();
+    for arg in std::env::args().skip(1) {
+        if arg == "--check" {
+            check = true;
+        } else if !arg.starts_with('-') && all.iter().any(|fx| fx.name == arg) {
+            names.push(arg);
+        } else {
+            let valid: Vec<&str> = all.iter().map(|fx| fx.name).collect();
+            eprintln!(
+                "unknown argument `{arg}` (expected --check, NAME...; names: {})",
+                valid.join(", ")
+            );
+            return ExitCode::from(2);
         }
     }
 
     let mut drifted = 0usize;
-    let mut ran = 0usize;
-    for fx in fixtures() {
-        if let Some(p) = &filter {
-            if !p.is_match(fx.name) {
-                continue;
-            }
+    for fx in all {
+        if !names.is_empty() && !names.iter().any(|n| n == fx.name) {
+            continue;
         }
-        ran += 1;
         eprintln!("[bless] generating {} ({})...", fx.name, fx.what);
         let fresh = (fx.generate)();
         let on_disk = std::fs::read_to_string(&fx.path).ok();
@@ -109,16 +97,13 @@ fn main() -> ExitCode {
             }
         } else {
             if state != "unchanged" {
-                std::fs::write(&fx.path, &fresh).unwrap_or_else(|e| {
-                    panic!("cannot write {}: {e}", fx.path.display());
-                });
+                if let Err(e) = std::fs::write(&fx.path, &fresh) {
+                    eprintln!("[bless] cannot write {}: {e}", fx.path.display());
+                    return ExitCode::FAILURE;
+                }
             }
             eprintln!("[bless] {:18} {}  {}", fx.name, state, fx.path.display());
         }
-    }
-    if ran == 0 {
-        eprintln!("[bless] no fixture matched the filter");
-        return ExitCode::from(2);
     }
     if check && drifted > 0 {
         eprintln!(

@@ -1,7 +1,7 @@
 //! The paper-scale campaign runner: checkpointable, resumable runs of
 //! the `features` ablation and the headline (Figs. 10–15) sweep.
 //!
-//! Unlike the figure binaries (which run a sweep to completion in one
+//! Unlike `all_figures` (which runs each sweep to completion in one
 //! process), this binary drives its jobs through
 //! [`triangel_harness::Campaign`]: every simulation advances in
 //! segments and checkpoints its full state after each. `--out-dir` is
@@ -25,7 +25,7 @@
 //!   byte-identical whatever the value).
 //! * `--out-dir DIR` — the result store plus the figure artefacts
 //!   (default `campaign-out`). Re-running with the same directory
-//!   resumes; figure binaries share its results with `--store DIR`.
+//!   resumes; `all_figures` shares its results with `--store DIR`.
 //! * `--segment N` — checkpoint interval in accesses per core.
 //! * `--max-segments K` — stop after K segments (forced interrupt; CI
 //!   uses this to exercise resume).
@@ -291,7 +291,8 @@ fn main() {
                     seed: params.seed,
                 },
                 &fold_opts,
-            );
+            )
+            .unwrap_or_else(|e| panic!("{e}"));
             assert_eq!(
                 sweep.stats().executed,
                 0,

@@ -5,14 +5,13 @@ use std::sync::Arc;
 
 use triangel_core::{structure_sizes, TriangelConfig, TriangelFeatures};
 use triangel_harness::emit::{
-    features_to_json, multicore_to_json, perf_to_json, timeline_to_json, traces_to_json,
-    FeatureCell, FeatureRow, FeatureStep, FeaturesReport, MulticoreReport, MulticoreRow,
-    PerfCellCost, PerfRecord, PerfReport, PerfScalingPoint, TimelineReport, TimelineRow,
+    features_to_json, multicore_to_json, timeline_to_json, traces_to_json, FeatureCell, FeatureRow,
+    FeatureStep, FeaturesReport, MulticoreReport, MulticoreRow, TimelineReport, TimelineRow,
     TimelineSeries, TraceCell, TraceProvenance, TracesReport, TracesRow,
 };
 use triangel_harness::goldens::gated_features;
 use triangel_harness::{
-    GridSpec, JobSpec, MapperSpec, RunParams, Sweep, SweepOptions, WorkloadSpec,
+    GridResult, GridSpec, JobSpec, MapperSpec, RunParams, Sweep, SweepOptions, WorkloadSpec,
 };
 use triangel_markov::TargetFormat;
 use triangel_sim::report::FigureTable;
@@ -26,35 +25,55 @@ use triangel_workloads::trace_file::record_trace;
 use super::{FigureContext, FigureOutput};
 use crate::quick_mode;
 
-fn tables(tables: Vec<triangel_sim::report::FigureTable>) -> Vec<FigureOutput> {
+/// What every experiment returns: its artefacts, or a one-line reason
+/// it could not produce them.
+type Outputs = Result<Vec<FigureOutput>, String>;
+
+fn tables(tables: Vec<FigureTable>) -> Vec<FigureOutput> {
     tables.into_iter().map(FigureOutput::Table).collect()
 }
 
-pub(super) fn fig10(ctx: &mut FigureContext) -> Vec<FigureOutput> {
-    tables(vec![ctx.spec_sweep().fig10_speedup()])
+/// Runs `grid` on the context's shared scheduler options and folds its
+/// counters into the per-process totals.
+fn run_grid(ctx: &mut FigureContext, grid: GridSpec) -> Result<GridResult, String> {
+    let result = grid.run(&ctx.opts).map_err(|e| e.to_string())?;
+    ctx.absorb(result.stats);
+    Ok(result)
 }
 
-pub(super) fn fig11(ctx: &mut FigureContext) -> Vec<FigureOutput> {
-    tables(vec![ctx.spec_sweep().fig11_traffic()])
+/// Fig. 10: speedup over the stride-only baseline.
+pub(super) fn fig10(ctx: &mut FigureContext) -> Outputs {
+    Ok(tables(vec![ctx.spec_sweep()?.fig10_speedup()]))
 }
 
-pub(super) fn fig12(ctx: &mut FigureContext) -> Vec<FigureOutput> {
-    tables(vec![ctx.spec_sweep().fig12_accuracy()])
+/// Fig. 11: normalized DRAM traffic.
+pub(super) fn fig11(ctx: &mut FigureContext) -> Outputs {
+    Ok(tables(vec![ctx.spec_sweep()?.fig11_traffic()]))
 }
 
-pub(super) fn fig13(ctx: &mut FigureContext) -> Vec<FigureOutput> {
-    tables(vec![ctx.spec_sweep().fig13_coverage()])
+/// Fig. 12: prefetch accuracy.
+pub(super) fn fig12(ctx: &mut FigureContext) -> Outputs {
+    Ok(tables(vec![ctx.spec_sweep()?.fig12_accuracy()]))
 }
 
-pub(super) fn fig14(ctx: &mut FigureContext) -> Vec<FigureOutput> {
-    tables(vec![ctx.spec_sweep().fig14_l3()])
+/// Fig. 13: coverage.
+pub(super) fn fig13(ctx: &mut FigureContext) -> Outputs {
+    Ok(tables(vec![ctx.spec_sweep()?.fig13_coverage()]))
 }
 
-pub(super) fn fig15(ctx: &mut FigureContext) -> Vec<FigureOutput> {
-    tables(vec![
-        ctx.spec_sweep().fig15_energy(),
-        ctx.spec_sweep().fig15_dram_fraction(),
-    ])
+/// Fig. 14: normalized L3 accesses, including Triangel-NoMRB.
+pub(super) fn fig14(ctx: &mut FigureContext) -> Outputs {
+    Ok(tables(vec![ctx.spec_sweep()?.fig14_l3()]))
+}
+
+/// Fig. 15: normalized DRAM+L3 dynamic energy, including
+/// Triangel-NoMRB, plus the DRAM share of each run's energy.
+pub(super) fn fig15(ctx: &mut FigureContext) -> Outputs {
+    let sweep = ctx.spec_sweep()?;
+    Ok(tables(vec![
+        sweep.fig15_energy(),
+        sweep.fig15_dram_fraction(),
+    ]))
 }
 
 /// The paper's multiprogrammed pairings ("with Xalan doubled to make an
@@ -66,7 +85,12 @@ pub const FIG16_PAIRS: [(SpecWorkload, SpecWorkload); 4] = [
     (SpecWorkload::Sphinx, SpecWorkload::Xalan),
 ];
 
-pub(super) fn fig16(ctx: &mut FigureContext) -> Vec<FigureOutput> {
+/// Fig. 16: multiprogrammed-workload speedup. Each [`FIG16_PAIRS`]
+/// pair runs on two cores sharing the L3 (and thus the Markov
+/// partition) and the DRAM channel; the per-pair speedup is the
+/// geometric mean of the two cores' IPC ratios against the same pair
+/// run with the stride-only baseline.
+pub(super) fn fig16(ctx: &mut FigureContext) -> Outputs {
     let mut grid = GridSpec::new(ctx.params.run_params()).columns([
         PrefetcherChoice::Triage,
         PrefetcherChoice::TriageDeg4,
@@ -76,16 +100,24 @@ pub(super) fn fig16(ctx: &mut FigureContext) -> Vec<FigureOutput> {
     for (a, b) in FIG16_PAIRS {
         grid = grid.row(WorkloadSpec::Pair(a, b));
     }
-    let result = grid.run(&ctx.opts).unwrap_or_else(|e| panic!("{e}"));
-    ctx.absorb(result.stats);
-    tables(vec![result.table(
+    let result = run_grid(ctx, grid)?;
+    Ok(tables(vec![result.table(
         "Fig. 16: Multiprogrammed-workload speedup",
         "per-pair geomean IPC ratio vs stride-only dual-core baseline",
         |c| c.speedup,
-    )])
+    )]))
 }
 
-pub(super) fn fig17(ctx: &mut FigureContext) -> Vec<FigureOutput> {
+/// Fig. 17: slowdown and DRAM traffic on Graph500 search, the paper's
+/// adversarial workload (Section 6.4).
+///
+/// Neither input has exploitable temporal correlation: `s16 e10` fits
+/// the Markov range but repeats too little; `s21 e10`'s reuse distances
+/// exceed any on-chip capacity. Temporal prefetchers should ideally do
+/// nothing; the paper shows the Triage variants slowing the system
+/// dramatically while Triangel's classifiers largely switch off. Under
+/// `TRIANGEL_QUICK=1` one tiny graph replaces both inputs.
+pub(super) fn fig17(ctx: &mut FigureContext) -> Outputs {
     let inputs: Vec<Graph500Config> = if quick_mode() {
         vec![Graph500Config::tiny()]
     } else {
@@ -113,9 +145,8 @@ pub(super) fn fig17(ctx: &mut FigureContext) -> Vec<FigureOutput> {
             graph: Arc::clone(&graph),
         });
     }
-    let result = grid.run(&ctx.opts).unwrap_or_else(|e| panic!("{e}"));
-    ctx.absorb(result.stats);
-    tables(vec![
+    let result = run_grid(ctx, grid)?;
+    Ok(tables(vec![
         result
             .table(
                 "Fig. 17 (left): Graph500 search slowdown",
@@ -130,10 +161,18 @@ pub(super) fn fig17(ctx: &mut FigureContext) -> Vec<FigureOutput> {
                 |c| c.dram_traffic,
             )
             .without_geomean(),
-    ])
+    ]))
 }
 
-pub(super) fn fig18(ctx: &mut FigureContext) -> Vec<FigureOutput> {
+/// Fig. 18: Triage speedup under different Markov-table entry formats
+/// and lookup-table configurations (Section 6.5).
+///
+/// The five variants: the default 32-bit entry with a 16-way-associative
+/// 1024-entry lookup table; a hypothetical *ideal* (never-wrong) lookup
+/// table; a fully-associative lookup table; Triangel's 42-bit direct
+/// format; and the 10-bit-offset variant that models halved physical
+/// frame locality.
+pub(super) fn fig18(ctx: &mut FigureContext) -> Outputs {
     let formats = [
         TargetFormat::triage_default(),
         TargetFormat::Ideal32,
@@ -145,16 +184,23 @@ pub(super) fn fig18(ctx: &mut FigureContext) -> Vec<FigureOutput> {
     for f in formats {
         grid = grid.column(PrefetcherChoice::TriageFormat(f));
     }
-    let result = grid.run(&ctx.opts).unwrap_or_else(|e| panic!("{e}"));
-    ctx.absorb(result.stats);
-    tables(vec![result.table(
+    let result = run_grid(ctx, grid)?;
+    Ok(tables(vec![result.table(
         "Fig. 18: Triage speedup by Markov-table format",
         "IPC relative to stride-only baseline (first column is Triage's default)",
         |c| c.speedup,
-    )])
+    )]))
 }
 
-pub(super) fn fig19(ctx: &mut FigureContext) -> Vec<FigureOutput> {
+/// Fig. 19: accuracy of Triage's lookup-table format with 11 and 10
+/// offset bits (Section 6.5), under a fragmented page mapping.
+///
+/// The 10-bit variant gives the lookup table twice as many distinct
+/// upper-bit regions to track ("roughly equivalent to halving
+/// physical-page locality or doubling page fragmentation"); when its
+/// 1024 entries are exhausted, stale indices silently reconstruct wrong
+/// addresses and accuracy collapses.
+pub(super) fn fig19(ctx: &mut FigureContext) -> Outputs {
     let variants = [
         ("11-bit", TargetFormat::triage_default()),
         ("10-bit", TargetFormat::triage_10b_offset()),
@@ -165,16 +211,22 @@ pub(super) fn fig19(ctx: &mut FigureContext) -> Vec<FigureOutput> {
     for (name, f) in variants {
         grid = grid.labeled_column(name, PrefetcherChoice::TriageFormat(f));
     }
-    let result = grid.run(&ctx.opts).unwrap_or_else(|e| panic!("{e}"));
-    ctx.absorb(result.stats);
-    tables(vec![result.table(
+    let result = run_grid(ctx, grid)?;
+    Ok(tables(vec![result.table(
         "Fig. 19: Triage LUT accuracy by offset width",
         "prefetched lines used before L2 eviction (fragmented page mapping)",
         |c| c.accuracy,
-    )])
+    )]))
 }
 
-pub(super) fn fig20(ctx: &mut FigureContext) -> Vec<FigureOutput> {
+/// Fig. 20: the ablation study (Section 6.6).
+///
+/// Starting from Triage Degree-4, each column enables one more Triangel
+/// mechanism, in the paper's order: +Lookahead-2, +Triangel Metadata,
+/// +BasePatternConf, +Second-Chance, +Metadata Reuse Buffer, +Set Duel,
+/// +ReuseConf, +HighPatternConf. Both panels of the figure are printed:
+/// (a) speedup, (b) normalized DRAM traffic.
+pub(super) fn fig20(ctx: &mut FigureContext) -> Outputs {
     let mut grid = GridSpec::new(ctx.params.run_params()).spec_rows();
     for step in 0..=8 {
         grid = grid.labeled_column(
@@ -182,9 +234,8 @@ pub(super) fn fig20(ctx: &mut FigureContext) -> Vec<FigureOutput> {
             PrefetcherChoice::TriangelLadder(step),
         );
     }
-    let result = grid.run(&ctx.opts).unwrap_or_else(|e| panic!("{e}"));
-    ctx.absorb(result.stats);
-    tables(vec![
+    let result = run_grid(ctx, grid)?;
+    Ok(tables(vec![
         result.table(
             "Fig. 20a: Ablation speedup",
             "IPC relative to stride-only baseline, features added cumulatively",
@@ -195,10 +246,11 @@ pub(super) fn fig20(ctx: &mut FigureContext) -> Vec<FigureOutput> {
             "DRAM line reads relative to baseline",
             |c| c.dram_traffic,
         ),
-    ])
+    ]))
 }
 
-pub(super) fn table1(_ctx: &mut FigureContext) -> Vec<FigureOutput> {
+/// Table 1: sizing of Triangel's dedicated structures (no simulation).
+pub(super) fn table1(_ctx: &mut FigureContext) -> Outputs {
     let sizes = structure_sizes(&TriangelConfig::paper_default());
     let mut out = String::new();
     out.push_str("## Table 1: Sizing of Triangel's structures\n\n");
@@ -223,10 +275,11 @@ pub(super) fn table1(_ctx: &mut FigureContext) -> Vec<FigureOutput> {
     ));
     out.push_str("\n(paper: 17.6 KiB total, versus 219.5 KiB for Triage once its\n");
     out.push_str(" lookup table, HawkEye dueller and Bloom filter are counted)");
-    vec![FigureOutput::Text(out)]
+    Ok(vec![FigureOutput::Text(out)])
 }
 
-pub(super) fn table2(_ctx: &mut FigureContext) -> Vec<FigureOutput> {
+/// Table 2: the core and memory experimental setup (no simulation).
+pub(super) fn table2(_ctx: &mut FigureContext) -> Outputs {
     let cfg = SystemConfig::paper_single_core();
     let mut out = String::new();
     out.push_str("## Table 2: Core and memory experimental setup\n\n");
@@ -263,10 +316,17 @@ pub(super) fn table2(_ctx: &mut FigureContext) -> Vec<FigureOutput> {
         cfg.max_markov_ways,
         cfg.l3.ways()
     ));
-    vec![FigureOutput::Text(out)]
+    Ok(vec![FigureOutput::Text(out)])
 }
 
-pub(super) fn sec33_replacement(ctx: &mut FigureContext) -> Vec<FigureOutput> {
+/// The Section 3.3 observation: HawkEye versus simpler policies for
+/// Markov-entry replacement barely matters at the full 1 MiB table,
+/// and matters more when the table is artificially capacity-limited.
+///
+/// Sweeps Triage with {LRU, SRRIP, HawkEye} entry replacement at the
+/// full partition and at a quarter-size partition (2 max ways =
+/// 256 KiB-class), reporting speedup over the stride baseline.
+pub(super) fn sec33_replacement(ctx: &mut FigureContext) -> Outputs {
     use triangel_cache::replacement::PolicyKind;
     let policies = [
         ("LRU", PolicyKind::Lru),
@@ -287,168 +347,17 @@ pub(super) fn sec33_replacement(ctx: &mut FigureContext) -> Vec<FigureOutput> {
             cfg.table.max_ways = max_ways;
             grid = grid.labeled_column(name, PrefetcherChoice::TriageCustom(cfg));
         }
-        let result = grid.run(&ctx.opts).unwrap_or_else(|e| panic!("{e}"));
-        ctx.absorb(result.stats);
+        let result = run_grid(ctx, grid)?;
         out.push(FigureOutput::Table(result.table(
             format!("Sec. 3.3: Markov replacement policy, {cap_name}"),
             "Triage speedup over stride-only baseline",
             |c| c.speedup,
         )));
     }
-    out
+    Ok(out)
 }
 
-/// The perf smoke sweep's fixed scale. Deliberately *not* tied to
-/// `TRIANGEL_QUICK`/`TRIANGEL_WARMUP`: the trajectory is only
-/// comparable across PRs if every measurement simulates the same work.
-const PERF_PARAMS: RunParams = RunParams {
-    warmup: 50_000,
-    accesses: 50_000,
-    sizing_window: 25_000,
-    seed: 42,
-};
-
-/// The recorded reference measurement for `BENCH_perf.json`, taken with
-/// `--jobs 1` on the repo's dev container. PR 2's pre-refactor hot path
-/// (HashMap `ready_at` / HashSet `temporal_resident` side tables in
-/// `MemorySystem`, HashMap MSHR file, SipHash page/stride tables) is the
-/// trajectory's origin; update the label and numbers only when the
-/// sweep's shape changes and the trajectory must restart.
-fn perf_baseline() -> PerfRecord {
-    PerfRecord {
-        label: "PR 1 side-table hot path (pre-refactor)".into(),
-        wall_ms: 1537.0,
-        accesses_per_sec: 1_366_000.0,
-    }
-}
-
-pub(super) fn perf(ctx: &mut FigureContext) -> Vec<FigureOutput> {
-    let grid = || {
-        GridSpec::new(PERF_PARAMS)
-            .spec_rows()
-            .columns([PrefetcherChoice::Triage, PrefetcherChoice::Triangel])
-    };
-    // Serial and with a private (empty) cache: the wall clock must
-    // measure simulation throughput, not scheduling or result reuse.
-    let t0 = std::time::Instant::now();
-    let result = grid()
-        .run(&SweepOptions::serial())
-        .unwrap_or_else(|e| panic!("{e}"));
-    let wall = t0.elapsed();
-    ctx.absorb(result.stats);
-
-    let jobs = result.stats.executed;
-    let total_accesses = jobs as u64 * (PERF_PARAMS.warmup + PERF_PARAMS.accesses);
-    let serial_rate = total_accesses as f64 / wall.as_secs_f64();
-    let current = PerfRecord {
-        label: "working tree".into(),
-        wall_ms: wall.as_secs_f64() * 1e3,
-        accesses_per_sec: serial_rate,
-    };
-
-    // The parallel-scaling curve: jobs ∈ {1, 2, N}, each width on a
-    // fresh private cache so it executes the full job list. The
-    // scheduler takes the thread-free serial path whenever workers==1
-    // (`pool::run_indexed`), so the measurement above *is* the jobs=1
-    // point — re-running it would record pure run-to-run noise as
-    // "scheduling overhead". Wider points (2, one-per-core) expose
-    // real scheduler + memory-bandwidth overhead.
-    let max_workers = triangel_harness::pool::default_workers();
-    let mut scaling = vec![PerfScalingPoint {
-        workers: 1,
-        wall_ms: current.wall_ms,
-        accesses_per_sec: serial_rate,
-        speedup_vs_serial: 1.0,
-    }];
-    let mut widths = vec![2usize, max_workers];
-    widths.sort_unstable();
-    widths.dedup();
-    widths.retain(|w| *w > 1);
-    for workers in widths {
-        let t0 = std::time::Instant::now();
-        let result = grid()
-            .run(&SweepOptions::parallel(workers))
-            .unwrap_or_else(|e| panic!("{e}"));
-        let wall = t0.elapsed().as_secs_f64();
-        ctx.absorb(result.stats);
-        let rate = total_accesses as f64 / wall;
-        scaling.push(PerfScalingPoint {
-            workers,
-            wall_ms: wall * 1e3,
-            accesses_per_sec: rate,
-            speedup_vs_serial: rate / serial_rate,
-        });
-    }
-
-    // The per-cell cost: the same 7 workloads timed as a baseline-only
-    // and a Triangel-only job list, serial on a private cache. Their
-    // wall-time ratio isolates what the temporal prefetcher's metadata
-    // tables (training, Markov, issue) cost one simulation.
-    let mut time_cells = |choice: PrefetcherChoice| -> f64 {
-        let mut sweep = Sweep::new();
-        for wl in SpecWorkload::ALL {
-            sweep.push(JobSpec::new(WorkloadSpec::Spec(wl), choice, PERF_PARAMS));
-        }
-        let t0 = std::time::Instant::now();
-        let result = sweep.run(&SweepOptions::serial());
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        for r in result.results {
-            r.unwrap_or_else(|e| panic!("{e}"));
-        }
-        ctx.absorb(result.stats);
-        wall_ms
-    };
-    let baseline_wall_ms = time_cells(PrefetcherChoice::Baseline);
-    let triangel_wall_ms = time_cells(PrefetcherChoice::Triangel);
-    let cell_cost = PerfCellCost {
-        baseline_wall_ms,
-        triangel_wall_ms,
-        ratio: triangel_wall_ms / baseline_wall_ms,
-    };
-
-    let report = PerfReport {
-        sweep: format!(
-            "7 SPEC workloads x {{Baseline, Triage, Triangel}}, warmup {} + {} accesses each, serial + jobs scaling",
-            PERF_PARAMS.warmup, PERF_PARAMS.accesses
-        ),
-        jobs,
-        total_accesses,
-        baseline: perf_baseline(),
-        current,
-        scaling,
-        cell_cost,
-    };
-    eprintln!(
-        "[perf] {} job(s), {:.0} ms wall, {:.3}M accesses/s — {:.2}x vs `{}`",
-        report.jobs,
-        report.current.wall_ms,
-        report.current.accesses_per_sec / 1e6,
-        report.speedup(),
-        report.baseline.label,
-    );
-    for p in &report.scaling {
-        eprintln!(
-            "[perf]   --jobs {}: {:.0} ms, {:.3}M accesses/s ({:.2}x vs serial)",
-            p.workers,
-            p.wall_ms,
-            p.accesses_per_sec / 1e6,
-            p.speedup_vs_serial,
-        );
-    }
-    eprintln!(
-        "[perf]   per-cell cost: Triangel {:.0} ms / baseline {:.0} ms = {:.2}x",
-        report.cell_cost.triangel_wall_ms,
-        report.cell_cost.baseline_wall_ms,
-        report.cell_cost.ratio,
-    );
-    vec![FigureOutput::Json {
-        name: "BENCH_perf".into(),
-        body: perf_to_json(&report),
-    }]
-}
-
-/// The `features` ablation's fixed smoke scale. Like `perf`,
-/// deliberately not tied to `TRIANGEL_QUICK`/`TRIANGEL_WARMUP`: the
+/// The `features` ablation's fixed smoke scale. Deliberately not tied to `TRIANGEL_QUICK`/`TRIANGEL_WARMUP`: the
 /// gate's effect is only comparable across PRs if every measurement
 /// simulates the same work — and the scale must be large enough that
 /// temporal fills die (eviction training is a no-op until lines
@@ -493,18 +402,19 @@ pub fn features_grid(params: RunParams) -> GridSpec {
 }
 
 /// The `features` ablation: the Fig. 20 feature ladder, each step run
-/// with the experimental `train_on_eviction` gate off and on, over the
-/// smoke sweep. Emits the per-step off/on metrics as
-/// `BENCH_features_smoke.json` (recorded like `perf`, minus wall
-/// clocks — the artefact is byte-deterministic; the un-suffixed
-/// `BENCH_features.json` name is reserved for the campaign runner's
+/// with the experimental `train_on_eviction` gate off and on, at the
+/// fixed [`FEATURES_PARAMS`] scale (`TRIANGEL_QUICK` and friends do not
+/// apply). Emits the per-step off/on metrics as
+/// `BENCH_features_smoke.json` (byte-deterministic; the un-suffixed
+/// `BENCH_features.json` at the repo root is the campaign runner's
 /// full-scale record) plus speedup/accuracy/coverage tables.
-pub(super) fn features(ctx: &mut FigureContext) -> Vec<FigureOutput> {
-    let result = features_grid(FEATURES_PARAMS)
-        .run(&ctx.opts)
-        .unwrap_or_else(|e| panic!("{e}"));
-    ctx.absorb(result.stats);
-    features_outputs(&result, FEATURES_PARAMS, "BENCH_features_smoke")
+pub(super) fn features(ctx: &mut FigureContext) -> Outputs {
+    let result = run_grid(ctx, features_grid(FEATURES_PARAMS))?;
+    Ok(features_outputs(
+        &result,
+        FEATURES_PARAMS,
+        "BENCH_features_smoke",
+    ))
 }
 
 /// Folds a finished features grid into its tables and the
@@ -597,7 +507,7 @@ const TIMELINE_WORKLOADS: [SpecWorkload; 3] = [
 /// `TRIANGEL_TIMELINE_SMOKE=1`, so CI never clobbers the recorded
 /// artefact). The aggregate features tables say *that* EvictTrain
 /// loses MCF coverage; this figure says *when*.
-pub(super) fn timeline(ctx: &mut FigureContext) -> Vec<FigureOutput> {
+pub(super) fn timeline(ctx: &mut FigureContext) -> Outputs {
     let params = FEATURES_PARAMS;
     // Ladder step 0, like the gate-on golden sweep: its ungated
     // prefetching exercises the eviction-training path heavily at this
@@ -634,19 +544,19 @@ pub(super) fn timeline(ctx: &mut FigureContext) -> Vec<FigureOutput> {
     let result = sweep.run(&opts);
     ctx.absorb(result.stats);
 
-    let series_at = |i: usize| -> &triangel_obs::IntervalSeries {
-        result.results[i]
-            .as_ref()
-            .unwrap_or_else(|e| panic!("timeline job failed: {e:?}"))
-            .intervals
-            .as_ref()
-            .expect("timeline jobs sample")
-    };
+    let series = result
+        .results
+        .iter()
+        .map(|r| {
+            let report = r.as_ref().map_err(|e| e.to_string())?;
+            Ok(report.intervals.as_ref().expect("timeline jobs sample"))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
     let rows: Vec<TimelineRow> = TIMELINE_WORKLOADS
         .iter()
         .enumerate()
         .map(|(wi, wl)| {
-            let baseline = series_at(wi * configs.len());
+            let baseline = series[wi * configs.len()];
             TimelineRow {
                 workload: wl.label().to_string(),
                 series: configs
@@ -655,7 +565,7 @@ pub(super) fn timeline(ctx: &mut FigureContext) -> Vec<FigureOutput> {
                     .map(|(ci, (label, _, _))| {
                         TimelineSeries::from_intervals(
                             *label,
-                            series_at(wi * configs.len() + ci),
+                            series[wi * configs.len() + ci],
                             (ci != 0).then_some(baseline),
                         )
                     })
@@ -712,7 +622,7 @@ pub(super) fn timeline(ctx: &mut FigureContext) -> Vec<FigureOutput> {
     }
 
     let smoke = std::env::var("TRIANGEL_TIMELINE_SMOKE").is_ok_and(|v| v == "1");
-    vec![
+    Ok(vec![
         FigureOutput::Text(notes.join("\n")),
         FigureOutput::Json {
             name: if smoke {
@@ -722,7 +632,7 @@ pub(super) fn timeline(ctx: &mut FigureContext) -> Vec<FigureOutput> {
             },
             body: timeline_to_json(&report),
         },
-    ]
+    ])
 }
 
 /// Configurations of the `multicore` figure. Ladder step 0 is the
@@ -748,7 +658,7 @@ const MULTICORE_CONFIGS: [(&str, PrefetcherChoice); 3] = [
 /// recorded artefact). Honors `TRIANGEL_EXEC_THREADS` for intra-sim
 /// trace generation — the artefact must be byte-identical at any
 /// width, and CI diffs the 1-thread and N-thread runs to prove it.
-pub(super) fn multicore(ctx: &mut FigureContext) -> Vec<FigureOutput> {
+pub(super) fn multicore(ctx: &mut FigureContext) -> Outputs {
     let params = FEATURES_PARAMS;
     let smoke = std::env::var("TRIANGEL_MULTICORE_SMOKE").is_ok_and(|v| v == "1");
     let core_counts: &[usize] = if smoke { &[1, 2, 4] } else { &[1, 2, 4, 8] };
@@ -795,7 +705,7 @@ pub(super) fn multicore(ctx: &mut FigureContext) -> Vec<FigureOutput> {
         for (j, (label, _)) in MULTICORE_CONFIGS.iter().enumerate() {
             let report = result.results[i * MULTICORE_CONFIGS.len() + j]
                 .as_ref()
-                .unwrap_or_else(|e| panic!("multicore job failed: {e:?}"));
+                .map_err(|e| e.to_string())?;
             let last = report
                 .intervals
                 .as_ref()
@@ -823,7 +733,7 @@ pub(super) fn multicore(ctx: &mut FigureContext) -> Vec<FigureOutput> {
         workload: SpecWorkload::Mcf.label().to_string(),
         rows,
     };
-    vec![
+    Ok(vec![
         FigureOutput::Table(table),
         FigureOutput::Json {
             name: if smoke {
@@ -833,10 +743,18 @@ pub(super) fn multicore(ctx: &mut FigureContext) -> Vec<FigureOutput> {
             },
             body: multicore_to_json(&report),
         },
-    ]
+    ])
 }
 
-pub(super) fn duel_bias(ctx: &mut FigureContext) -> Vec<FigureOutput> {
+/// Extension study: the Set Dueller's bias factor B (Section 4.7,
+/// footnote 11).
+///
+/// B discounts modelled Markov-table hits by the DRAM cost of
+/// prefetches (each Markov hit is worth `12 / B` cache hits). The paper
+/// uses B = 2 and notes that "more aggressive tradeoff parameters...
+/// do increase performance" at the cost of traffic; this sweeps B over
+/// {1, 2, 4} to expose that tradeoff.
+pub(super) fn duel_bias(ctx: &mut FigureContext) -> Outputs {
     let biases = [1u32, 2, 4];
     let mut grid = GridSpec::new(ctx.params.run_params()).spec_rows();
     for b in biases {
@@ -845,9 +763,8 @@ pub(super) fn duel_bias(ctx: &mut FigureContext) -> Vec<FigureOutput> {
         cfg.sizing_window = ctx.params.sizing_window;
         grid = grid.labeled_column(format!("B={b}"), PrefetcherChoice::TriangelCustom(cfg));
     }
-    let result = grid.run(&ctx.opts).unwrap_or_else(|e| panic!("{e}"));
-    ctx.absorb(result.stats);
-    tables(vec![
+    let result = run_grid(ctx, grid)?;
+    Ok(tables(vec![
         result.table(
             "Dueller bias sweep: speedup",
             "IPC vs stride-only baseline (B=2 is the paper's default)",
@@ -858,7 +775,7 @@ pub(super) fn duel_bias(ctx: &mut FigureContext) -> Vec<FigureOutput> {
             "line reads vs baseline",
             |c| c.dram_traffic,
         ),
-    ])
+    ]))
 }
 
 /// Columns of the `traces` figure: the degree-matched Triage reference
@@ -874,26 +791,26 @@ const TRACES_CONFIGS: [PrefetcherChoice; 2] =
 /// than the run it feeds (half the warm-up + measured length), so the
 /// looping end-of-trace policy and its wrap accounting are exercised
 /// on every smoke run, never just at full scale.
-fn traces_trace_spec(params: RunParams) -> WorkloadSpec {
+fn traces_trace_spec(params: RunParams) -> Result<WorkloadSpec, String> {
     if let Ok(path) = std::env::var("TRIANGEL_TRACE_FILE") {
         return WorkloadSpec::trace_file(&path)
-            .unwrap_or_else(|e| panic!("TRIANGEL_TRACE_FILE `{path}`: {e}"));
+            .map_err(|e| format!("TRIANGEL_TRACE_FILE `{path}`: {e}"));
     }
     let records = ((params.warmup + params.accesses) / 2).clamp(256, 1 << 20);
     let dir = std::env::temp_dir().join("triangel-traces-figure");
-    std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+    std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     // Seed and length in the name: distinct scales record distinct
     // files, and an existing file's content is exactly what this run
     // would record (the generator is deterministic), so reuse is safe
     // — `trace_file` re-validates the header either way.
     let path = dir.join(format!("smoke-s{}-r{records}.trc", params.seed));
     if let Ok(spec) = WorkloadSpec::trace_file(&path) {
-        return spec;
+        return Ok(spec);
     }
     let mut src = IrregularWorkload::ZipfKv.generator(params.seed);
     record_trace(&mut src, records, &path)
-        .unwrap_or_else(|e| panic!("recording {}: {e}", path.display()));
-    WorkloadSpec::trace_file(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+        .map_err(|e| format!("recording {}: {e}", path.display()))?;
+    WorkloadSpec::trace_file(&path).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// The `traces` figure: the four irregular workload families (zipfian
@@ -901,17 +818,18 @@ fn traces_trace_spec(params: RunParams) -> WorkloadSpec {
 /// replay row, each compared against its stride-only baseline under
 /// the [`TRACES_CONFIGS`] columns. Emits speedup/accuracy tables and
 /// the machine-readable `BENCH_traces.json`, whose trace row carries
-/// the header digest and wrap arithmetic.
-pub(super) fn traces(ctx: &mut FigureContext) -> Vec<FigureOutput> {
+/// the header digest and wrap arithmetic. Set `TRIANGEL_TRACE_FILE` to
+/// replay a specific recording (see the `trace_record` devtool) in
+/// place of the deterministic smoke trace.
+pub(super) fn traces(ctx: &mut FigureContext) -> Outputs {
     let params = ctx.params.run_params();
-    let trace_spec = traces_trace_spec(params);
+    let trace_spec = traces_trace_spec(params)?;
     let mut grid = GridSpec::new(params).columns(TRACES_CONFIGS);
     for wl in IrregularWorkload::ALL {
         grid = grid.row(WorkloadSpec::Irregular(wl));
     }
     grid = grid.row(trace_spec.clone());
-    let result = grid.run(&ctx.opts).unwrap_or_else(|e| panic!("{e}"));
-    ctx.absorb(result.stats);
+    let result = run_grid(ctx, grid)?;
 
     let rows: Vec<TracesRow> = result
         .row_labels()
@@ -981,5 +899,5 @@ pub(super) fn traces(ctx: &mut FigureContext) -> Vec<FigureOutput> {
         name: "BENCH_traces".into(),
         body: traces_to_json(&report),
     });
-    out
+    Ok(out)
 }

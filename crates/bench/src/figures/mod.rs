@@ -1,11 +1,11 @@
 //! The experiment registry: every figure and table of the paper as a
 //! named, declarative definition, executed by `triangel-harness`.
 //!
-//! Binaries are thin: `fig10` is `run_main("fig10")`, and
-//! `all_figures` iterates the whole registry (optionally filtered with
-//! a regex) over one shared result cache, so simulations common to
-//! several figures — above all the per-workload stride-only baselines —
-//! execute exactly once per process.
+//! `all_figures` runs the registry entries named on its command line
+//! (every entry when none is named), always in registry order, over
+//! one shared result cache, so simulations common to several figures
+//! — above all the per-workload stride-only baselines — execute
+//! exactly once per process.
 
 mod defs;
 
@@ -17,7 +17,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use triangel_harness::emit;
-use triangel_harness::filter::Pattern;
 use triangel_harness::{ResultCache, SweepOptions, SweepStats};
 use triangel_sim::report::FigureTable;
 
@@ -31,13 +30,11 @@ pub enum FigureOutput {
     /// Free-form text (Tables 1 and 2 of the paper).
     Text(String),
     /// A machine-readable JSON artefact written under exactly
-    /// `<name>.json` (the perf trajectory's `BENCH_perf.json`). Always
-    /// persisted — to `--out-dir` when given, the working directory
-    /// otherwise — and never printed to stdout, so experiments whose
-    /// artefacts carry wall-clock timings keep `all_figures`' stdout
-    /// deterministic.
+    /// `<name>.json` (e.g. `BENCH_traces.json`). Always persisted — to
+    /// `--out-dir` when given, the working directory otherwise — and
+    /// never printed to stdout.
     Json {
-        /// File stem (`BENCH_perf` → `BENCH_perf.json`).
+        /// File stem (`BENCH_traces` → `BENCH_traces.json`).
         name: String,
         /// The serialized JSON body.
         body: String,
@@ -108,17 +105,22 @@ impl FigureContext {
 
     /// The shared Figs. 10–15 sweep, run on first use with the full
     /// configuration set (individual figures select their columns).
-    pub fn spec_sweep(&mut self) -> &SpecSweep {
+    ///
+    /// # Errors
+    ///
+    /// The first failed job, rendered.
+    pub fn spec_sweep(&mut self) -> Result<&SpecSweep, String> {
         if self.spec_sweep.is_none() {
             let sweep = SpecSweep::run_opts(
                 SpecSweep::paper_configs_with_nomrb(),
                 &self.params,
                 &self.opts,
-            );
+            )
+            .map_err(|e| e.to_string())?;
             self.absorb(sweep.stats());
             self.spec_sweep = Some(sweep);
         }
-        self.spec_sweep.as_ref().unwrap()
+        Ok(self.spec_sweep.as_ref().expect("spec sweep stored above"))
     }
 
     /// Folds one sweep's counters into the per-process totals.
@@ -142,7 +144,7 @@ pub struct FigureDef {
     pub name: &'static str,
     /// One-line description.
     pub title: &'static str,
-    run: fn(&mut FigureContext) -> Vec<FigureOutput>,
+    run: fn(&mut FigureContext) -> Result<Vec<FigureOutput>, String>,
 }
 
 impl std::fmt::Debug for FigureDef {
@@ -153,7 +155,12 @@ impl std::fmt::Debug for FigureDef {
 
 impl FigureDef {
     /// Runs the experiment's sweeps and returns its artefacts.
-    pub fn run(&self, ctx: &mut FigureContext) -> Vec<FigureOutput> {
+    ///
+    /// # Errors
+    ///
+    /// A one-line message when a job fails or the environment or file
+    /// system the experiment reads is unusable.
+    pub fn run(&self, ctx: &mut FigureContext) -> Result<Vec<FigureOutput>, String> {
         (self.run)(ctx)
     }
 }
@@ -242,11 +249,6 @@ pub fn registry() -> Vec<FigureDef> {
             run: defs::features,
         },
         FigureDef {
-            name: "perf",
-            title: "Hot-path throughput vs recorded baseline",
-            run: defs::perf,
-        },
-        FigureDef {
             name: "timeline",
             title: "Per-interval time-series +/- eviction training",
             run: defs::timeline,
@@ -264,19 +266,16 @@ pub fn registry() -> Vec<FigureDef> {
     ]
 }
 
-/// Looks up one experiment by name.
-pub fn find(name: &str) -> Option<FigureDef> {
-    registry().into_iter().find(|f| f.name == name)
-}
-
-/// Command-line options shared by the figure binaries.
+/// Command-line options of `all_figures`.
 #[derive(Debug, Default)]
 pub struct CliOptions {
     /// `--jobs N` (0 = one worker per core).
     pub jobs: usize,
-    /// `--filter <regex>` (only `all_figures`).
-    pub filter: Option<Pattern>,
-    /// `--out-dir <dir>` (only `all_figures`): emit JSON/CSV here.
+    /// Positional `NAME`s: the registry entries to run (every entry
+    /// when empty). Each is an exact registry name; they run in
+    /// registry order, whatever order they were given in.
+    pub names: Vec<String>,
+    /// `--out-dir <dir>`: emit JSON/CSV here.
     pub out_dir: Option<PathBuf>,
     /// `--trace <path>`: record the harness's wall-time spans and write
     /// them as Chrome `trace_event` JSON (load at
@@ -290,25 +289,20 @@ pub struct CliOptions {
     pub store: Option<PathBuf>,
 }
 
-/// Parses `--jobs N`, `--filter RE`, `--out-dir DIR`, `--trace PATH`,
-/// `--store DIR`.
+/// Parses `[--jobs N] [--out-dir DIR] [--trace PATH] [--store DIR]
+/// [NAME…]`.
 ///
 /// # Errors
 ///
-/// A usage message on unknown flags, missing values, or a malformed
-/// filter regex.
-pub fn parse_cli(args: impl Iterator<Item = String>) -> Result<CliOptions, String> {
+/// A usage message on unknown flags, missing values, or a `NAME` that
+/// is not in the [`registry`] (the message lists the valid names).
+pub fn parse_cli(mut args: impl Iterator<Item = String>) -> Result<CliOptions, String> {
     let mut opts = CliOptions::default();
-    let mut args = args.peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--jobs" => {
                 let v = args.next().ok_or("--jobs needs a value")?;
                 opts.jobs = v.parse().map_err(|_| format!("bad --jobs value `{v}`"))?;
-            }
-            "--filter" => {
-                let v = args.next().ok_or("--filter needs a regex")?;
-                opts.filter = Some(Pattern::new(&v).map_err(|e| e.to_string())?);
             }
             "--out-dir" => {
                 let v = args.next().ok_or("--out-dir needs a path")?;
@@ -322,111 +316,25 @@ pub fn parse_cli(args: impl Iterator<Item = String>) -> Result<CliOptions, Strin
                 let v = args.next().ok_or("--store needs a directory")?;
                 opts.store = Some(PathBuf::from(v));
             }
-            other => {
+            flag if flag.starts_with('-') => {
                 return Err(format!(
-                    "unknown argument `{other}` (expected --jobs N, --filter RE, --out-dir DIR, \
-                     --trace PATH, --store DIR)"
+                    "unknown argument `{flag}` (expected --jobs N, --out-dir DIR, --trace PATH, \
+                     --store DIR, NAME...)"
                 ))
+            }
+            name => {
+                let names: Vec<&str> = registry().iter().map(|f| f.name).collect();
+                if !names.contains(&name) {
+                    return Err(format!(
+                        "unknown figure `{name}` (expected one of: {})",
+                        names.join(", ")
+                    ));
+                }
+                opts.names.push(arg);
             }
         }
     }
     Ok(opts)
-}
-
-/// Entry point for the single-figure binaries: parses `--jobs` and
-/// `--out-dir`, runs the named experiment, prints (and optionally
-/// emits) its artefacts. `--filter` is rejected — there is only one
-/// experiment here; filtering belongs to `all_figures`.
-///
-/// # Panics
-///
-/// Panics if `name` is not in the registry (a bug, not user error).
-pub fn run_main(name: &str) {
-    let cli = match parse_cli(std::env::args().skip(1)) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    if cli.filter.is_some() {
-        eprintln!("--filter only applies to all_figures; this binary runs exactly `{name}`");
-        std::process::exit(2);
-    }
-    let def = find(name).unwrap_or_else(|| panic!("unknown figure `{name}`"));
-    let mut ctx = FigureContext::new(SweepParams::from_env(), cli.jobs);
-    let trace = attach_trace(&mut ctx, &cli);
-    if let Err(e) = attach_store(&mut ctx, &cli) {
-        eprintln!("{e}");
-        std::process::exit(2);
-    }
-    let outputs = def.run(&mut ctx);
-    for out in &outputs {
-        out.print();
-    }
-    let dir = cli.out_dir.clone().unwrap_or_else(|| PathBuf::from("."));
-    if let Err(e) = emit_selected(&dir, name, &outputs, cli.out_dir.is_some()) {
-        eprintln!("failed to emit {name} to {}: {e}", dir.display());
-        std::process::exit(1);
-    }
-    write_trace(&cli, trace.as_deref());
-    store_summary(&ctx.opts);
-}
-
-/// Creates the trace buffer `--trace` asked for (if any) and shares it
-/// with the context's scheduler options, so every sweep the figures
-/// run records its wall-time spans.
-pub fn attach_trace(
-    ctx: &mut FigureContext,
-    cli: &CliOptions,
-) -> Option<Arc<triangel_obs::TraceBuffer>> {
-    let trace = cli
-        .trace
-        .as_ref()
-        .map(|_| Arc::new(triangel_obs::TraceBuffer::new()));
-    if let Some(t) = &trace {
-        ctx.opts.trace = Some(Arc::clone(t));
-    }
-    trace
-}
-
-/// Wires `--store` into the context's scheduler options: opens the
-/// on-disk result store, so every sweep the figures run resolves
-/// through it.
-///
-/// # Errors
-///
-/// A one-line message when the store cannot be opened.
-pub fn attach_store(ctx: &mut FigureContext, cli: &CliOptions) -> Result<(), String> {
-    if let Some(dir) = &cli.store {
-        let store = triangel_harness::ResultStore::open(dir)
-            .map_err(|e| format!("cannot open result store at {}: {e}", dir.display()))?;
-        ctx.opts.store = Some(Arc::new(store));
-    }
-    Ok(())
-}
-
-/// Prints the store's traffic counters to stderr after a run, when a
-/// store is attached. stdout is untouched, so figure output stays
-/// byte-identical.
-pub fn store_summary(opts: &SweepOptions) {
-    if let Some(store) = &opts.store {
-        eprintln!("[store] {}", store.stats().render());
-    }
-}
-
-/// Writes the recorded trace to the `--trace` path as Chrome
-/// `trace_event` JSON. Exits the process on I/O failure (binary-level
-/// helper, like `emit_selected`'s callers).
-pub fn write_trace(cli: &CliOptions, trace: Option<&triangel_obs::TraceBuffer>) {
-    let (Some(path), Some(trace)) = (&cli.trace, trace) else {
-        return;
-    };
-    if let Err(e) = std::fs::write(path, trace.to_json()) {
-        eprintln!("failed to write trace to {}: {e}", path.display());
-        std::process::exit(1);
-    }
-    eprintln!("[trace] {} event(s) -> {}", trace.len(), path.display());
 }
 
 /// Writes artefacts under `dir`. `FigureOutput::Json` artefacts are
@@ -473,8 +381,12 @@ pub fn emit_selected(
 mod tests {
     use super::*;
 
+    fn args<'a>(v: &'a [&str]) -> impl Iterator<Item = String> + 'a {
+        v.iter().map(|s| s.to_string())
+    }
+
     #[test]
-    fn registry_names_are_unique_and_cover_all_binaries() {
+    fn registry_names_are_unique_and_cover_the_evaluation() {
         let names: Vec<&str> = registry().iter().map(|f| f.name).collect();
         let mut dedup = names.clone();
         dedup.sort_unstable();
@@ -490,7 +402,6 @@ mod tests {
             "sec33_replacement",
             "duel_bias",
             "features",
-            "perf",
             "timeline",
             "traces",
             "multicore",
@@ -501,24 +412,19 @@ mod tests {
 
     #[test]
     fn cli_parses_all_flags() {
-        let opts = parse_cli(
-            [
-                "--jobs",
-                "8",
-                "--filter",
-                "fig1[0-5]",
-                "--out-dir",
-                "/tmp/x",
-                "--store",
-                "/tmp/store",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-        )
+        let opts = parse_cli(args(&[
+            "--jobs",
+            "8",
+            "table2",
+            "--out-dir",
+            "/tmp/x",
+            "--store",
+            "/tmp/store",
+            "fig10",
+        ]))
         .unwrap();
         assert_eq!(opts.jobs, 8);
-        assert!(opts.filter.as_ref().unwrap().is_match("fig12"));
-        assert!(!opts.filter.as_ref().unwrap().is_match("fig17"));
+        assert_eq!(opts.names, ["table2", "fig10"]);
         assert_eq!(
             opts.out_dir.as_deref(),
             Some(std::path::Path::new("/tmp/x"))
@@ -527,9 +433,15 @@ mod tests {
             opts.store.as_deref(),
             Some(std::path::Path::new("/tmp/store"))
         );
-        assert!(parse_cli(["--bogus"].iter().map(|s| s.to_string())).is_err());
-        let err = parse_cli(["--connect", "x.sock"].iter().map(|s| s.to_string())).unwrap_err();
+        assert!(parse_cli(args(&[])).unwrap().names.is_empty());
+        assert!(parse_cli(args(&["--bogus"])).is_err());
+        let err = parse_cli(args(&["--connect", "x.sock"])).unwrap_err();
         assert!(err.starts_with("unknown argument `--connect`"), "{err}");
-        assert!(parse_cli(["--store"].iter().map(|s| s.to_string())).is_err());
+        let err = parse_cli(args(&["--filter", "fig1[0-5]"])).unwrap_err();
+        assert!(err.starts_with("unknown argument `--filter`"), "{err}");
+        let err = parse_cli(args(&["fig1"])).unwrap_err();
+        assert!(err.starts_with("unknown figure `fig1`"), "{err}");
+        assert!(err.contains("fig10") && err.contains("multicore"), "{err}");
+        assert!(parse_cli(args(&["--store"])).is_err());
     }
 }

@@ -1,30 +1,31 @@
 //! Shared infrastructure for the figure-reproduction harness.
 //!
-//! Every binary in `src/bin/` regenerates one of the paper's tables or
-//! figures; all of them are declarative job lists executed by
-//! [`triangel_harness`] (see the [`figures`] registry, which maps
-//! experiment names to definitions). Figures 10–15 share one sweep over
-//! the seven SPEC-like workloads; [`SpecSweep`] runs it once and
-//! exposes each figure's metric as a [`FigureTable`].
+//! Every table and figure of the paper is a named entry of the
+//! [`figures`] registry: a declarative job list executed by
+//! [`triangel_harness`]. The `all_figures` binary runs the entries
+//! named on its command line (all of them when none is named), in
+//! registry order. Figures 10–15 share one sweep over the seven
+//! SPEC-like workloads; [`SpecSweep`] runs it once and exposes each
+//! figure's metric as a [`FigureTable`].
 //!
-//! Scale knobs (environment variables, so the same binaries serve smoke
+//! Scale knobs (environment variables, so the same binary serves smoke
 //! tests and full runs):
 //!
 //! * `TRIANGEL_QUICK=1` — small warm-up/measurement for CI smoke runs.
 //! * `TRIANGEL_WARMUP` / `TRIANGEL_ACCESSES` — explicit per-core access
 //!   counts.
 //!
-//! Command-line knobs (every binary): `--jobs N` sets the worker-thread
-//! count (default: one per core; results are bit-identical whatever the
-//! value). `all_figures` additionally takes `--filter <regex>` and
-//! `--out-dir <dir>` (JSON/CSV emission).
+//! Command-line knobs of `all_figures`: `--jobs N` sets the
+//! worker-thread count (default: one per core; results are
+//! bit-identical whatever the value), `--out-dir <dir>` adds JSON/CSV
+//! emission, `--trace <path>` records host spans and `--store <dir>`
+//! resolves jobs through the on-disk result store.
 
 pub mod figures;
 
-use triangel_harness::{GridResult, GridSpec, RunParams, SweepOptions};
+use triangel_harness::{GridResult, GridSpec, JobError, RunParams, SweepOptions};
 use triangel_sim::report::FigureTable;
 use triangel_sim::{Comparison, PrefetcherChoice, RunReport};
-use triangel_workloads::spec::SpecWorkload;
 
 /// Scale parameters for a sweep.
 #[derive(Debug, Clone, Copy)]
@@ -62,19 +63,28 @@ impl SweepParams {
     }
 
     /// Resolves parameters from the environment (see module docs).
-    pub fn from_env() -> Self {
+    ///
+    /// # Errors
+    ///
+    /// A one-line message when `TRIANGEL_WARMUP` or `TRIANGEL_ACCESSES`
+    /// is set but not an integer.
+    pub fn from_env() -> Result<Self, String> {
         let mut p = if quick_mode() {
             SweepParams::quick()
         } else {
             SweepParams::full()
         };
-        if let Ok(w) = std::env::var("TRIANGEL_WARMUP") {
-            p.warmup = w.parse().expect("TRIANGEL_WARMUP must be an integer");
+        for (var, field) in [
+            ("TRIANGEL_WARMUP", &mut p.warmup),
+            ("TRIANGEL_ACCESSES", &mut p.accesses),
+        ] {
+            if let Ok(v) = std::env::var(var) {
+                *field = v
+                    .parse()
+                    .map_err(|_| format!("{var} must be an integer, got `{v}`"))?;
+            }
         }
-        if let Ok(a) = std::env::var("TRIANGEL_ACCESSES") {
-            p.accesses = a.parse().expect("TRIANGEL_ACCESSES must be an integer");
-        }
-        p
+        Ok(p)
     }
 
     /// The harness-level run parameters these scale knobs describe.
@@ -99,19 +109,6 @@ pub fn quick_mode() -> bool {
     std::env::var("TRIANGEL_QUICK").is_ok_and(|v| v == "1")
 }
 
-/// Runs one workload under one prefetcher configuration (serial
-/// convenience wrapper; sweeps go through [`SpecSweep`] or a
-/// [`GridSpec`] so they parallelize and share baselines).
-pub fn run_spec(wl: SpecWorkload, choice: PrefetcherChoice, p: &SweepParams) -> RunReport {
-    triangel_harness::JobSpec::new(
-        triangel_harness::WorkloadSpec::Spec(wl),
-        choice,
-        p.run_params(),
-    )
-    .run()
-    .expect("well-formed single-core spec job")
-}
-
 /// The figures-10-to-15 sweep: every workload under the baseline and a
 /// set of prefetcher configurations, executed by the harness scheduler.
 #[derive(Debug)]
@@ -134,27 +131,28 @@ impl SpecSweep {
 
     /// The one configuration list the Figs. 10–15 sweep carries:
     /// [`SpecSweep::paper_configs`] plus the No-MRB ablation of
-    /// Figs. 14–15. Both the standalone `fig10`–`fig15` binaries and
-    /// `all_figures` run (and print) exactly these columns, so their
-    /// outputs agree byte for byte — the seed's standalone binaries
-    /// dropped the No-MRB column while `all_figures` printed it.
+    /// Figs. 14–15. Every one of `fig10`–`fig15` prints exactly these
+    /// columns, whichever subset of them a run selects.
     pub fn paper_configs_with_nomrb() -> Vec<PrefetcherChoice> {
         let mut c = SpecSweep::paper_configs();
         c.push(PrefetcherChoice::TriangelNoMrb);
         c
     }
 
-    /// Runs the sweep serially (see [`SpecSweep::run_opts`]).
-    pub fn run(configs: Vec<PrefetcherChoice>, p: &SweepParams) -> Self {
-        SpecSweep::run_opts(configs, p, &SweepOptions::serial().with_progress())
-    }
-
     /// Runs the sweep under explicit scheduler options.
-    pub fn run_opts(configs: Vec<PrefetcherChoice>, p: &SweepParams, opts: &SweepOptions) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// The first job that failed.
+    pub fn run_opts(
+        configs: Vec<PrefetcherChoice>,
+        p: &SweepParams,
+        opts: &SweepOptions,
+    ) -> Result<Self, JobError> {
         let grid = GridSpec::new(p.run_params()).spec_rows().columns(configs);
-        SpecSweep {
-            grid: grid.run(opts).unwrap_or_else(|e| panic!("{e}")),
-        }
+        Ok(SpecSweep {
+            grid: grid.run(opts)?,
+        })
     }
 
     /// Scheduler counters for the underlying sweep.
@@ -183,9 +181,8 @@ impl SpecSweep {
     }
 
     /// Folds a metric into a figure table over every column the sweep
-    /// carries. All of Figs. 10–15 print the sweep's full configuration
-    /// list, so standalone binaries and `all_figures` (which share this
-    /// fold) produce identical tables.
+    /// carries: all of Figs. 10–15 print the sweep's full configuration
+    /// list.
     fn table_all(&self, title: &str, metric: &str, f: impl Fn(Comparison) -> f64) -> FigureTable {
         let labels = self.config_labels();
         let wanted: Vec<&str> = labels.iter().map(String::as_str).collect();
@@ -299,12 +296,12 @@ mod tests {
             SpecSweep::paper_configs_with_nomrb(),
             &p,
             &SweepOptions::parallel(4),
-        );
+        )
+        .unwrap();
         // 7 workloads x (1 baseline + 6 configs), no duplicates.
         assert_eq!(sweep.stats().jobs, 49);
         assert_eq!(sweep.stats().executed, 49);
-        // Every figure of the shared sweep prints the same 6 columns,
-        // whether invoked standalone or through all_figures.
+        // Every figure of the shared sweep prints the same 6 columns.
         assert_eq!(sweep.fig10_speedup().configs().len(), 6);
         assert_eq!(sweep.fig14_l3().configs().len(), 6);
         assert_eq!(

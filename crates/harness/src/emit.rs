@@ -90,121 +90,6 @@ pub fn table_to_csv(t: &FigureTable) -> String {
     out
 }
 
-/// One timed measurement of the perf smoke sweep: a label naming the
-/// code state it was taken under, and the observed wall time / rate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerfRecord {
-    /// What was measured (e.g. `"PR 1 side-table hot path"`).
-    pub label: String,
-    /// Wall-clock milliseconds for the whole sweep.
-    pub wall_ms: f64,
-    /// Simulated accesses (warm-up + measured) per wall-clock second.
-    pub accesses_per_sec: f64,
-}
-
-/// One point of the parallel-scaling curve: the same fixed sweep run
-/// under a worker pool instead of serially.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerfScalingPoint {
-    /// Worker threads the sweep was scheduled across (`--jobs N`).
-    pub workers: usize,
-    /// Wall-clock milliseconds for the whole sweep at this width.
-    pub wall_ms: f64,
-    /// Simulated accesses per wall-clock second at this width.
-    pub accesses_per_sec: f64,
-    /// Throughput ratio over the same run's serial measurement
-    /// (ideal = `workers`; the gap is scheduler + memory-bandwidth
-    /// overhead).
-    pub speedup_vs_serial: f64,
-}
-
-/// The per-cell cost measurement: the same workload list timed once
-/// under the stride-only baseline and once under full Triangel, both
-/// serial. The `ratio` (Triangel cell ÷ baseline cell) isolates what
-/// the temporal prefetcher's metadata tables add to one simulation —
-/// the number the arena refactor tracks, independent of whole-sweep
-/// composition.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerfCellCost {
-    /// Wall-clock milliseconds for the baseline-only job list.
-    pub baseline_wall_ms: f64,
-    /// Wall-clock milliseconds for the Triangel-only job list.
-    pub triangel_wall_ms: f64,
-    /// `triangel_wall_ms / baseline_wall_ms` (1.0 = metadata free).
-    pub ratio: f64,
-}
-
-/// The repo's perf-trajectory artefact (`BENCH_perf.json`): a fixed
-/// smoke sweep timed under the current build, against the recorded
-/// baseline it is tracked from. Wall times are machine-dependent; the
-/// `speedup` ratio of two runs on the *same* machine is the tracked
-/// number.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerfReport {
-    /// Human description of the fixed sweep (workloads × configs × scale).
-    pub sweep: String,
-    /// Simulations the sweep runs.
-    pub jobs: usize,
-    /// Total simulated accesses across all jobs (warm-up + measured).
-    pub total_accesses: u64,
-    /// The recorded reference measurement.
-    pub baseline: PerfRecord,
-    /// The measurement just taken.
-    pub current: PerfRecord,
-    /// The parallel-scaling curve (jobs ∈ {1, 2, N}), empty when only
-    /// the serial number was measured.
-    pub scaling: Vec<PerfScalingPoint>,
-    /// The per-cell Triangel ÷ baseline cost measurement.
-    pub cell_cost: PerfCellCost,
-}
-
-impl PerfReport {
-    /// Throughput ratio of `current` over `baseline` (>1 is faster).
-    pub fn speedup(&self) -> f64 {
-        self.current.accesses_per_sec / self.baseline.accesses_per_sec
-    }
-}
-
-fn perf_record_json(r: &PerfRecord) -> String {
-    format!(
-        "{{\"label\":{},\"wall_ms\":{},\"accesses_per_sec\":{}}}",
-        escape(&r.label),
-        fmt_f64(r.wall_ms),
-        fmt_f64(r.accesses_per_sec),
-    )
-}
-
-fn perf_scaling_json(p: &PerfScalingPoint) -> String {
-    format!(
-        "{{\"workers\":{},\"wall_ms\":{},\"accesses_per_sec\":{},\"speedup_vs_serial\":{}}}",
-        p.workers,
-        fmt_f64(p.wall_ms),
-        fmt_f64(p.accesses_per_sec),
-        fmt_f64(p.speedup_vs_serial),
-    )
-}
-
-/// Serializes a perf report as JSON (the `BENCH_perf.json` schema).
-///
-/// Schema history: 2 = adds the parallel-scaling curve; 3 = adds the
-/// `cell_cost` object with the per-cell Triangel ÷ baseline `ratio`.
-pub fn perf_to_json(r: &PerfReport) -> String {
-    let scaling: Vec<String> = r.scaling.iter().map(perf_scaling_json).collect();
-    format!(
-        "{{\"schema\":3,\"figure\":\"perf\",\"sweep\":{},\"jobs\":{},\"total_accesses\":{},\"baseline\":{},\"current\":{},\"speedup\":{},\"scaling\":[{}],\"cell_cost\":{{\"baseline_wall_ms\":{},\"triangel_wall_ms\":{},\"ratio\":{}}}}}",
-        escape(&r.sweep),
-        r.jobs,
-        r.total_accesses,
-        perf_record_json(&r.baseline),
-        perf_record_json(&r.current),
-        fmt_f64(r.speedup()),
-        scaling.join(","),
-        fmt_f64(r.cell_cost.baseline_wall_ms),
-        fmt_f64(r.cell_cost.triangel_wall_ms),
-        fmt_f64(r.cell_cost.ratio),
-    )
-}
-
 /// One cell of the `features` ablation: the comparison metrics of a
 /// `(workload, ladder step, gate)` configuration against its
 /// stride-only baseline.
@@ -245,9 +130,8 @@ pub struct FeatureRow {
 
 /// The `features` ablation artefact (`BENCH_features.json`): the
 /// Fig. 20 feature ladder swept with the experimental
-/// `train_on_eviction` gate off and on, per workload. Unlike the perf
-/// artefact this carries no wall-clock numbers, so its bytes are fully
-/// deterministic.
+/// `train_on_eviction` gate off and on, per workload. It carries no
+/// wall-clock numbers, so its bytes are fully deterministic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeaturesReport {
     /// Human description of the fixed sweep.
@@ -722,47 +606,6 @@ mod tests {
         let c = table_to_csv(&t);
         assert!(c.contains("w,\n"), "NaN should be an empty CSV field: {c}");
         assert!(!c.contains("NaN") && !c.contains("inf"));
-    }
-
-    #[test]
-    fn perf_report_json_shape() {
-        let r = PerfReport {
-            sweep: "7 workloads x 3 configs".into(),
-            jobs: 21,
-            total_accesses: 2_100_000,
-            baseline: PerfRecord {
-                label: "pre".into(),
-                wall_ms: 2000.0,
-                accesses_per_sec: 1_050_000.0,
-            },
-            current: PerfRecord {
-                label: "now".into(),
-                wall_ms: 1000.0,
-                accesses_per_sec: 2_100_000.0,
-            },
-            scaling: vec![PerfScalingPoint {
-                workers: 2,
-                wall_ms: 600.0,
-                accesses_per_sec: 3_500_000.0,
-                speedup_vs_serial: 1.6666666666666667,
-            }],
-            cell_cost: PerfCellCost {
-                baseline_wall_ms: 100.0,
-                triangel_wall_ms: 125.0,
-                ratio: 1.25,
-            },
-        };
-        assert!((r.speedup() - 2.0).abs() < 1e-12);
-        let j = perf_to_json(&r);
-        assert!(j.contains("\"schema\":3"));
-        assert!(j.contains("\"figure\":\"perf\""));
-        assert!(j.contains("\"speedup\":2.0"));
-        assert!(j.contains("\"baseline\":{\"label\":\"pre\""));
-        assert!(j.contains("\"scaling\":[{\"workers\":2,"));
-        assert!(j.contains(
-            "\"cell_cost\":{\"baseline_wall_ms\":100.0,\"triangel_wall_ms\":125.0,\"ratio\":1.25}"
-        ));
-        assert_eq!(perf_to_json(&r), perf_to_json(&r));
     }
 
     #[test]

@@ -29,8 +29,6 @@
 //! * [`emit`] — JSON and CSV emitters for tables and sweep reports.
 //! * [`goldens`] — the pinned fixture sweeps, shared by the golden
 //!   tests and the `bless` re-bless devtool so they cannot drift.
-//! * [`filter::Pattern`] — a small regex engine (no dependencies) used
-//!   by `all_figures --filter` to select a subset of experiments.
 //!
 //! # Determinism
 //!
@@ -61,7 +59,6 @@
 
 pub mod campaign;
 pub mod emit;
-pub mod filter;
 pub mod goldens;
 mod grid;
 mod job;

@@ -6,7 +6,7 @@
 //! The two `ResultStore` handles here open their lock files
 //! independently, so they contend through `flock` exactly like two
 //! separate processes would — this is the same-machine analogue of two
-//! figure binaries sharing one `--store` directory.
+//! `all_figures` runs sharing one `--store` directory.
 
 use std::sync::Arc;
 

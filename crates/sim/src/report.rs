@@ -1,6 +1,6 @@
 //! Text-table rendering for the figure harness.
 //!
-//! Each figure binary prints a table whose rows are workloads and whose
+//! Each figure prints a table whose rows are workloads and whose
 //! columns are prefetcher configurations, mirroring the bar groups of
 //! the paper's plots, with a geometric-mean column where the paper has
 //! one.

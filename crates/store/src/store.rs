@@ -60,7 +60,8 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// to a sibling temp file, then rename), so a kill mid-write never
 /// corrupts an entry. The temp name is unique per writer (pid plus a
 /// process-wide counter): two writers of one key never truncate each
-/// other's file.
+/// other's file. The parent directory is fsynced after the rename, so
+/// a published entry survives power loss along with its contents.
 fn write_atomic(path: &Path, parts: &[&[u8]]) -> io::Result<()> {
     let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
     let tmp = path.with_extension(format!("{}.{seq}.tmp", std::process::id()));
@@ -71,7 +72,8 @@ fn write_atomic(path: &Path, parts: &[&[u8]]) -> io::Result<()> {
             }
             f.sync_all()
         })
-        .and_then(|()| std::fs::rename(&tmp, path));
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .and_then(|()| File::open(path.parent().unwrap_or(Path::new(".")))?.sync_all());
     if written.is_err() {
         let _ = std::fs::remove_file(&tmp);
     }
