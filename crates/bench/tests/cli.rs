@@ -1,6 +1,7 @@
-//! The figure CLIs' contract, driven through the built binaries:
+//! The CLIs' contract, driven through the built binaries:
 //! exact-name selection, registry-order output, usage errors (exit 2)
-//! and typed experiment failures (exit 1, one line, no panic).
+//! and typed experiment or recording failures (exit 1, one line, no
+//! panic).
 
 use std::process::{Command, Output};
 
@@ -89,4 +90,37 @@ fn bless_rejects_unknown_fixture_names() {
     let out = run(env!("CARGO_BIN_EXE_bless"), &["--check", "bogus"], &[]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
     assert!(stderr(&out).contains("golden_sweep"), "{}", stderr(&out));
+}
+
+fn trace_record(args: &[&str]) -> Output {
+    run(env!("CARGO_BIN_EXE_trace_record"), args, &[])
+}
+
+#[test]
+fn trace_record_bad_arguments_exit_2_with_usage() {
+    for args in [
+        &["--workload", "MCF", "--out", "x.trc", "--seed"][..],
+        &["--workload", "MCF", "--out", "x.trc", "--seed", "abc"],
+        &["--workload", "MCF", "--out", "x.trc", "--accesses", "abc"],
+        &["--workload", "NoSuchWorkload", "--out", "x.trc"],
+        &["--out", "x.trc"],
+    ] {
+        let out = trace_record(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(err.contains("usage: trace_record"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn trace_record_write_failure_exits_1() {
+    let dir = std::env::temp_dir().join(format!("triangel-cli-missing-{}", std::process::id()));
+    let path = dir.join("x.trc");
+    let path = path.to_str().expect("temp path is UTF-8");
+    let out = trace_record(&["--workload", "MCF", "--accesses", "10", "--out", path]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains(&format!("error: recording {path}: ")), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
 }

@@ -4,52 +4,139 @@ use crate::config::CacheConfig;
 use crate::replacement::{all_ways, AccessMeta, ReplacementImpl, ReplacementPolicy, WayMask};
 use triangel_types::{Cycle, FillSource, LineAddr, LineMeta, Pc};
 
-/// One cache line's bookkeeping state, including the simulation
-/// metadata word ([`LineMeta`]) that used to live in `MemorySystem`
-/// side tables: who filled the line, when the fill's data arrives, and
-/// whether a demand has touched it since.
+/// One cache line's bookkeeping state, packed into four `u64` words (32
+/// bytes, so a 16-way set spans eight 64-byte host cache lines). It
+/// includes the simulation metadata word ([`LineMeta`]) that used to
+/// live in `MemorySystem` side tables: who filled the line, when the
+/// fill's data arrives, and whether a demand has touched it since.
+///
+/// Two invariants make the packing lossless; [`Cache::fill_at`] asserts
+/// both and [`Snapshot::restore`] rejects data that breaks them:
+///
+/// * a line index is below 2^63, so bit 63 of `tag` is free to mark the
+///   way valid;
+/// * a fill ordinal is below 2^56, so the flag bits fit above it in
+///   `seq`.
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
-    tag: LineAddr,
-    valid: bool,
-    /// Prefetch tag bit: set when the line was filled by a prefetch and
-    /// has not yet been demanded. The first demand hit to such a line is
-    /// a "tagged prefetch hit" and trains temporal prefetchers exactly as
-    /// a miss would (Section 2 of the paper).
-    prefetch_tagged: bool,
-    /// Who filled the line.
-    source: FillSource,
+    /// The line index, with [`VALID`] set while the way holds it. An
+    /// invalidated way keeps its former index (the snapshot records it).
+    tag: u64,
     /// Cycle the fill's data arrives (late-prefetch timing).
     ready_at: Cycle,
-    /// Whether the line has been demand-accessed since fill; used to
-    /// classify evictions for accuracy accounting.
-    used: bool,
-    /// Ordinal of the fill that installed the line (the cache's fill
-    /// clock at install time; see [`Cache`]'s `fill_clock`).
-    fill_seq: u64,
-    fill_pc: Option<Pc>,
+    /// The fill ordinal (the cache's fill clock at install time; see
+    /// [`Cache`]'s `fill_clock`) under [`SEQ_MASK`], plus the
+    /// [`TAGGED`], [`USED`] and [`HAS_PC`] flags and the two
+    /// [`FillSource`] bits at [`SOURCE_SHIFT`].
+    seq: u64,
+    /// The PC recorded at fill time; meaningful only under [`HAS_PC`].
+    pc: u64,
 }
 
+/// `Line::tag` bit marking the way valid.
+const VALID: u64 = 1 << 63;
+/// `Line::seq` bits holding the fill ordinal.
+const SEQ_MASK: u64 = (1 << 56) - 1;
+/// Prefetch tag bit: set when the line was filled by a prefetch and has
+/// not yet been demanded. The first demand hit to such a line is a
+/// "tagged prefetch hit" and trains temporal prefetchers exactly as a
+/// miss would (Section 2 of the paper).
+const TAGGED: u64 = 1 << 56;
+/// Whether the line has been demand-accessed since fill; used to
+/// classify evictions for accuracy accounting.
+const USED: u64 = 1 << 57;
+/// Whether `Line::pc` holds a fill PC.
+const HAS_PC: u64 = 1 << 58;
+/// Position of the two [`FillSource`] bits (its snapshot tag).
+const SOURCE_SHIFT: u32 = 59;
+const SOURCE_MASK: u64 = 0b11 << SOURCE_SHIFT;
+
 impl Line {
+    fn new(
+        line: LineAddr,
+        pc: Option<Pc>,
+        source: FillSource,
+        tagged: bool,
+        ready_at: Cycle,
+        fill_seq: u64,
+    ) -> Self {
+        let mut seq = fill_seq | (u64::from(source.snap_tag()) << SOURCE_SHIFT);
+        seq |= if tagged { TAGGED } else { USED };
+        if pc.is_some() {
+            seq |= HAS_PC;
+        }
+        Line {
+            tag: line.index() | VALID,
+            ready_at,
+            seq,
+            pc: pc.map_or(0, Pc::get),
+        }
+    }
+
+    fn is_valid(&self) -> bool {
+        self.tag & VALID != 0
+    }
+
+    fn line(&self) -> LineAddr {
+        LineAddr::new(self.tag & !VALID)
+    }
+
+    fn flag(&self, bit: u64) -> bool {
+        self.seq & bit != 0
+    }
+
+    fn set_flag(&mut self, bit: u64, on: bool) {
+        if on {
+            self.seq |= bit;
+        } else {
+            self.seq &= !bit;
+        }
+    }
+
+    /// Records a demand hit: consumes the prefetch tag and marks the
+    /// line used. Returns whether the tag was still set.
+    fn demand_touch(&mut self) -> bool {
+        let first_use = self.flag(TAGGED);
+        self.seq = (self.seq & !TAGGED) | USED;
+        first_use
+    }
+
+    fn fill_seq(&self) -> u64 {
+        self.seq & SEQ_MASK
+    }
+
+    fn source(&self) -> FillSource {
+        let tag = ((self.seq & SOURCE_MASK) >> SOURCE_SHIFT) as u8;
+        FillSource::from_snap_tag(tag).expect("packed fill source")
+    }
+
+    fn set_source(&mut self, source: FillSource) {
+        self.seq = (self.seq & !SOURCE_MASK) | (u64::from(source.snap_tag()) << SOURCE_SHIFT);
+    }
+
+    fn fill_pc(&self) -> Option<Pc> {
+        self.flag(HAS_PC).then_some(Pc::new(self.pc))
+    }
+
     fn meta(&self) -> LineMeta {
         LineMeta {
-            source: self.source,
+            source: self.source(),
             ready_at: self.ready_at,
-            used: self.used,
-            fill_seq: self.fill_seq,
+            used: self.flag(USED),
+            fill_seq: self.fill_seq(),
         }
     }
 
     fn to_evicted(self, evict_seq: u64) -> EvictedLine {
         EvictedLine {
-            line: self.tag,
-            was_unused_prefetch: self.prefetch_tagged,
-            was_used: self.used,
-            source: self.source,
+            line: self.line(),
+            was_unused_prefetch: self.flag(TAGGED),
+            was_used: self.flag(USED),
+            source: self.source(),
             ready_at: self.ready_at,
-            fill_seq: self.fill_seq,
+            fill_seq: self.fill_seq(),
             evict_seq,
-            fill_pc: self.fill_pc,
+            fill_pc: self.fill_pc(),
         }
     }
 }
@@ -165,6 +252,15 @@ impl triangel_obs::Probe for CacheStats {
 /// A set-associative cache with pluggable replacement, prefetch tag bits
 /// and way masking (for the L3 Markov partition).
 ///
+/// Ways are stored as one array of 32-byte records, set after set, so
+/// a lookup scans one contiguous run: a 16-way set is 512 bytes. Each
+/// record packs the valid bit into bit 63 of the tag word and the
+/// prefetch tag, used, has-PC and fill-source bits above a 56-bit fill
+/// ordinal. [`Cache::fill_at`] asserts that a line index stays below
+/// 2^63 and the fill clock below 2^56; a snapshot that breaks either
+/// bound fails to restore with [`SnapError::Corrupt`]. A lookup of an
+/// index with bit 63 set misses.
+///
 /// # Examples
 ///
 /// ```
@@ -244,14 +340,21 @@ impl Cache {
     }
 
     fn find(&self, line: LineAddr) -> Option<(usize, usize)> {
+        // An index with the valid bit set cannot be resident (`fill_at`
+        // refuses it), and would otherwise alias the line without it.
+        if line.index() & VALID != 0 {
+            return None;
+        }
+        let key = line.index() | VALID;
         let set = self.set_of(line);
         let ways = self.ways;
         let base = set * ways;
         // One contiguous scan of the set — this is the single hottest
         // loop in the simulator (every access walks it at least once).
+        // One word per way: the valid bit rides in the tag.
         self.lines[base..base + ways]
             .iter()
-            .position(|l| l.valid && l.tag == line)
+            .position(|l| l.tag == key)
             .map(|w| (set, w))
     }
 
@@ -279,17 +382,15 @@ impl Cache {
             Some((set, way)) => {
                 self.stats.demand_hits += 1;
                 let slot = self.slot(set, way);
-                let first_use_of_prefetch = self.lines[slot].prefetch_tagged;
-                if first_use_of_prefetch {
-                    self.stats.prefetch_hits += 1;
-                    self.lines[slot].prefetch_tagged = false;
-                }
-                self.lines[slot].used = true;
+                let hit = &mut self.lines[slot];
+                let first_use_of_prefetch = hit.demand_touch();
+                let hit_meta = hit.meta();
+                self.stats.prefetch_hits += u64::from(first_use_of_prefetch);
                 self.policy.on_hit(set, way, &meta);
                 AccessOutcome {
                     hit: true,
                     prefetch_hit: first_use_of_prefetch,
-                    meta: Some(self.lines[slot].meta()),
+                    meta: Some(hit_meta),
                 }
             }
             None => {
@@ -340,6 +441,12 @@ impl Cache {
     /// stronger (demand) tag state. A refresh does not advance the fill
     /// clock or restamp `fill_seq` — the line's install ordinal is the
     /// fill that actually brought it in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line`'s index has bit 63 set (no line at or below
+    /// [`LineAddr::MAX`] does), or if this would be the cache's 2^56th
+    /// installing fill: neither fits the packed record.
     pub fn fill_at(
         &mut self,
         line: LineAddr,
@@ -357,11 +464,12 @@ impl Cache {
             // Already present (e.g. demand fill racing a prefetch fill):
             // treat as a touch.
             let slot = self.slot(set, way);
+            let present = &mut self.lines[slot];
             if !tagged {
-                self.lines[slot].prefetch_tagged = false;
+                present.set_flag(TAGGED, false);
             }
-            self.lines[slot].source = source;
-            self.lines[slot].ready_at = ready_at;
+            present.set_source(source);
+            present.ready_at = ready_at;
             self.policy.on_hit(set, way, &meta);
             return FillOutcome {
                 evicted: None,
@@ -370,13 +478,17 @@ impl Cache {
             };
         }
 
+        assert!(
+            line.index() & VALID == 0 && self.fill_clock < SEQ_MASK,
+            "line index or fill clock overflows its packed field"
+        );
         self.stats.fills += 1;
         self.fill_clock += 1;
         let set = self.set_of(line);
         // Fill an invalid eligible way first.
         let way = (0..self.cfg.ways())
             .filter(|w| self.way_mask & (1 << w) != 0)
-            .find(|w| !self.lines[self.slot(set, *w)].valid)
+            .find(|w| !self.lines[self.slot(set, *w)].is_valid())
             .unwrap_or_else(|| {
                 let w = self.policy.victim(set, self.way_mask);
                 debug_assert!(self.way_mask & (1 << w) != 0);
@@ -384,25 +496,16 @@ impl Cache {
             });
 
         let slot = self.slot(set, way);
-        let evicted = if self.lines[slot].valid {
+        let evicted = if self.lines[slot].is_valid() {
             self.stats.evictions += 1;
             let old = self.lines[slot];
-            self.policy.on_evict(set, way, old.tag);
+            self.policy.on_evict(set, way, old.line());
             Some(old.to_evicted(self.fill_clock))
         } else {
             None
         };
 
-        self.lines[slot] = Line {
-            tag: line,
-            valid: true,
-            prefetch_tagged: tagged,
-            source,
-            ready_at,
-            used: !tagged,
-            fill_seq: self.fill_clock,
-            fill_pc: pc,
-        };
+        self.lines[slot] = Line::new(line, pc, source, tagged, ready_at, self.fill_clock);
         self.policy.on_fill(set, way, &meta);
         FillOutcome { evicted, set, way }
     }
@@ -416,7 +519,7 @@ impl Cache {
     fn invalidate_slot(&mut self, set: usize, way: usize) -> EvictedLine {
         let slot = self.slot(set, way);
         let old = self.lines[slot];
-        self.lines[slot].valid = false;
+        self.lines[slot].tag &= !VALID;
         self.policy.on_invalidate(set, way);
         old.to_evicted(self.fill_clock)
     }
@@ -440,7 +543,7 @@ impl Cache {
         let mut flushed = Vec::new();
         for set in 0..self.cfg.sets() {
             for way in 0..self.cfg.ways() {
-                if mask & (1 << way) == 0 && self.lines[self.slot(set, way)].valid {
+                if mask & (1 << way) == 0 && self.lines[self.slot(set, way)].is_valid() {
                     flushed.push(self.invalidate_slot(set, way));
                 }
             }
@@ -455,16 +558,16 @@ impl Cache {
 
     /// Returns the number of valid lines currently resident.
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.lines.iter().filter(|l| l.is_valid()).count()
     }
 
     /// Iterates over the valid resident lines (for diagnostics/tests).
     pub fn resident_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        self.lines.iter().filter(|l| l.valid).map(|l| l.tag)
+        self.lines.iter().filter(|l| l.is_valid()).map(|l| l.line())
     }
 }
 
-use triangel_types::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+use triangel_types::snap::{snap_check, SnapError, SnapReader, SnapWriter, Snapshot};
 
 impl Snapshot for CacheStats {
     fn save(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
@@ -490,26 +593,37 @@ impl Snapshot for CacheStats {
 
 impl Snapshot for Line {
     fn save(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.u64(self.tag.index());
-        w.bool(self.valid);
-        w.bool(self.prefetch_tagged);
-        w.u8(self.source.snap_tag());
+        w.u64(self.line().index());
+        w.bool(self.is_valid());
+        w.bool(self.flag(TAGGED));
+        w.u8(self.source().snap_tag());
         w.u64(self.ready_at);
-        w.bool(self.used);
-        w.u64(self.fill_seq);
-        w.opt_u64(self.fill_pc.map(|p| p.get()));
+        w.bool(self.flag(USED));
+        w.u64(self.fill_seq());
+        w.opt_u64(self.fill_pc().map(Pc::get));
         Ok(())
     }
 
     fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.tag = LineAddr::new(r.u64()?);
-        self.valid = r.bool()?;
-        self.prefetch_tagged = r.bool()?;
-        self.source = FillSource::from_snap_tag(r.u8()?)?;
-        self.ready_at = r.u64()?;
-        self.used = r.bool()?;
-        self.fill_seq = r.u64()?;
-        self.fill_pc = r.opt_u64()?.map(Pc::new);
+        let index = r.u64()?;
+        snap_check(index & VALID == 0, "cache line index has bit 63 set")?;
+        let valid = r.bool()?;
+        let tagged = r.bool()?;
+        let source = FillSource::from_snap_tag(r.u8()?)?;
+        let ready_at = r.u64()?;
+        let used = r.bool()?;
+        let fill_seq = r.u64()?;
+        snap_check(
+            fill_seq <= SEQ_MASK,
+            "cache line fill ordinal at or above 2^56",
+        )?;
+        let pc = r.opt_u64()?.map(Pc::new);
+        *self = Line::new(LineAddr::new(index), pc, source, tagged, ready_at, fill_seq);
+        // `new` derives the used bit from `tagged`; a snapshot records it.
+        self.set_flag(USED, used);
+        if !valid {
+            self.tag &= !VALID;
+        }
         Ok(())
     }
 }
@@ -534,8 +648,16 @@ impl Snapshot for Cache {
         }
         self.policy.restore(r)?;
         self.way_mask = r.u64()?;
+        snap_check(
+            self.way_mask & all_ways(self.ways) != 0,
+            "cache way mask selects no way",
+        )?;
         self.stats.restore(r)?;
         self.fill_clock = r.u64()?;
+        snap_check(
+            self.fill_clock <= SEQ_MASK,
+            "cache fill clock at or above 2^56",
+        )?;
         Ok(())
     }
 }
@@ -746,6 +868,119 @@ mod tests {
         c.fill(l, None, true);
         assert_eq!(c.access(l, None, true).meta, None, "prefetch lookup");
         assert_eq!(c.line_meta(LineAddr::new(99)), None);
+    }
+
+    #[test]
+    fn line_record_is_four_words() {
+        assert_eq!(std::mem::size_of::<Line>(), 32);
+    }
+
+    /// A 4-way LRU cache holding tagged, untagged, PC-less, `Some(0)`-PC
+    /// and invalidated lines, and its snapshot bytes.
+    fn filled_snapshot() -> Vec<u8> {
+        let mut c = tiny(4);
+        for i in 0..20u64 {
+            let pc = (i % 3 != 0).then_some(Pc::new(i % 2 * 0x400));
+            let source =
+                [FillSource::Demand, FillSource::Stride, FillSource::Temporal][(i % 3) as usize];
+            c.fill_at(
+                LineAddr::new(i * 3),
+                pc,
+                source,
+                i.is_multiple_of(2),
+                i * 11,
+            );
+        }
+        c.access(LineAddr::new(57), None, false);
+        c.invalidate(LineAddr::new(54));
+        let mut w = SnapWriter::new();
+        c.save(&mut w).unwrap();
+        w.into_bytes()
+    }
+
+    fn restore_bytes(bytes: &[u8]) -> Result<Cache, SnapError> {
+        let mut c = tiny(4);
+        let mut r = SnapReader::new(bytes);
+        c.restore(&mut r)?;
+        r.finish()?;
+        Ok(c)
+    }
+
+    #[test]
+    fn snapshot_round_trips() {
+        let bytes = filled_snapshot();
+        let c = restore_bytes(&bytes).unwrap();
+        let mut w = SnapWriter::new();
+        c.save(&mut w).unwrap();
+        assert_eq!(w.into_bytes(), bytes);
+    }
+
+    #[test]
+    fn corrupt_snapshots_are_errors_not_panics() {
+        let bytes = filled_snapshot();
+        for n in 0..bytes.len() {
+            assert!(restore_bytes(&bytes[..n]).is_err(), "truncated to {n}");
+        }
+        for extra in [&[0u8][..], &[0; 8]] {
+            let long = [&bytes[..], extra].concat();
+            assert!(restore_bytes(&long).is_err(), "extended by {}", extra.len());
+        }
+        // A flip in a counter or cycle is undetectable; what must never
+        // happen is a panic, in the restore or in the traffic after it.
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(mut c) = restore_bytes(&flipped) {
+                for i in 0..24u64 {
+                    c.access(LineAddr::new(i), None, false);
+                    c.fill(LineAddr::new(i * 5), Some(Pc::new(i)), i.is_multiple_of(2));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_fields_are_corrupt() {
+        // Layout: the line count (8 bytes), then the first line's tag
+        // (8), valid, tagged and source bytes, ready_at (8), used byte,
+        // fill_seq (8). The snapshot ends with the way mask (8), six
+        // counters (48) and the fill clock (8).
+        type Corrupt = fn(&mut [u8]);
+        let cases: [(&str, Corrupt); 4] = [
+            ("tag bit 63", |b| b[8 + 7] |= 0x80),
+            ("fill_seq bit 56", |b| b[8 + 8 + 3 + 8 + 1 + 7] |= 0x01),
+            ("empty way mask", |b| {
+                let n = b.len();
+                b[n - 64..n - 56].fill(0);
+            }),
+            ("fill clock bit 56", |b| {
+                let n = b.len();
+                b[n - 1] |= 0x01;
+            }),
+        ];
+        let bytes = filled_snapshot();
+        for (what, corrupt) in cases {
+            let mut b = bytes.clone();
+            corrupt(&mut b);
+            assert!(
+                matches!(restore_bytes(&b), Err(SnapError::Corrupt(_))),
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows its packed field")]
+    fn fill_refuses_a_line_index_with_the_valid_bit() {
+        let mut c = tiny(2);
+        c.fill(LineAddr::new(1 << 63), None, false);
+    }
+
+    #[test]
+    fn lookup_of_a_line_index_with_the_valid_bit_misses() {
+        let mut c = tiny(2);
+        c.fill(LineAddr::new(5), None, false);
+        assert!(!c.contains(LineAddr::new(5 | 1 << 63)));
     }
 
     #[test]

@@ -22,7 +22,8 @@ pub struct CoreStats {
     /// Of those, lines evicted unused (accuracy denominator
     /// complement).
     pub temporal_wasted: u64,
-    /// Prefetch requests dropped for MSHR pressure.
+    /// Prefetch requests dropped for MSHR pressure or because their
+    /// line lies beyond [`LineAddr::MAX`].
     pub prefetches_dropped: u64,
     /// Total L2 fills (the Second-Chance Sampler's proximity clock).
     pub l2_fills: u64,
@@ -390,6 +391,12 @@ impl MemorySystem {
     /// Issues one prefetch request (stride fills L1 too; temporal fills
     /// only the L2, as in the paper).
     fn issue_prefetch(&mut self, core_idx: usize, req: PrefetchRequest, t: Cycle, temporal: bool) {
+        if req.line > LineAddr::MAX {
+            // A candidate that wrapped out of the address space (a
+            // negative stride run past line 0) names no memory.
+            self.cores[core_idx].stats.prefetches_dropped += 1;
+            return;
+        }
         let t = t + req.issue_delay;
         let source = if temporal {
             FillSource::Temporal

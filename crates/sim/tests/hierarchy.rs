@@ -238,3 +238,28 @@ fn warmup_reset_zeroes_measurement_counters() {
     );
     assert_eq!(r.dram.total_reads(), 0);
 }
+
+#[test]
+fn descending_stride_into_line_zero_drops_wrapped_prefetches() {
+    // PC 8 maps virtual pages 0..4 onto frames 1..5 (the contiguous
+    // mapper hands frames out in first-touch order), then PC 4 walks
+    // those frames downwards one page at a time: physical lines 256,
+    // 192, 128, 64. On the fourth access the degree-8 stride
+    // prefetcher is confident in a stride of -64 lines; its first
+    // candidate is line 0 and the other seven wrap below it to indices
+    // that no byte address has. They must be dropped, not filled.
+    let page = |p: u64| Addr::new(p * 4096);
+    let accesses: Vec<MemoryAccess> = (0..4)
+        .map(|p| MemoryAccess::new(Pc::new(8), page(p)))
+        .chain((0..4).rev().map(|p| MemoryAccess::new(Pc::new(4), page(p))))
+        .collect();
+    let r = SimSession::builder()
+        .workload(RecordedTrace::new("down", accesses))
+        .page_mapper(PageMapper::contiguous())
+        .warmup(4)
+        .accesses(4)
+        .prefetcher(PrefetcherChoice::Baseline)
+        .run()
+        .unwrap();
+    assert_eq!(r.cores[0].core.prefetches_dropped, 7);
+}

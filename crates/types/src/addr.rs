@@ -114,6 +114,12 @@ impl fmt::UpperHex for Addr {
 pub struct LineAddr(u64);
 
 impl LineAddr {
+    /// The last line of the 64-bit byte address space. Every line a
+    /// byte address maps to is at or below it; an index above it (for
+    /// example one a negative stride wrapped past line 0) names no
+    /// memory.
+    pub const MAX: LineAddr = LineAddr(u64::MAX >> LINE_OFFSET_BITS);
+
     /// Creates a line address from a line index (byte address >> 6).
     pub const fn new(index: u64) -> Self {
         LineAddr(index)
@@ -225,6 +231,8 @@ mod tests {
     fn offsets_wrap_safely() {
         let l = LineAddr::new(0);
         assert_eq!(l.offset(-1).offset(1), l);
+        assert!(l.offset(-1) > LineAddr::MAX);
+        assert_eq!(Addr::new(u64::MAX).line(), LineAddr::MAX);
         let a = Addr::new(10);
         assert_eq!(a.offset(-4).get(), 6);
     }
