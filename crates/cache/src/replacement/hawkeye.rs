@@ -56,15 +56,25 @@ pub struct HawkEye {
     sample_stride: usize,
     window: usize,
     rrpv: Vec<u8>,
-    loader: Vec<u64>, // pc-hash that loaded each (set, way)
+    loader: Vec<u16>, // pc-hash that loaded each (set, way)
     predictor: Vec<SaturatingCounter>,
     samples: Vec<OptGenSet>,
 }
 
 impl HawkEye {
     /// Creates HawkEye state for `sets x ways`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sets` or `ways` is zero, or if
+    /// `cfg.predictor_index_bits` exceeds 16 (each way records its
+    /// loader's predictor index in 16 bits).
     pub fn new(sets: usize, ways: usize, cfg: HawkEyeConfig) -> Self {
         assert!(sets > 0 && ways > 0);
+        assert!(
+            cfg.predictor_index_bits <= 16,
+            "HawkEye predictor index above 16 bits"
+        );
         let sample_stride = (sets / cfg.sampled_sets.max(1)).max(1);
         let sampled = sets.div_ceil(sample_stride);
         let predictor_len = 1usize << cfg.predictor_index_bits;
@@ -151,7 +161,7 @@ impl ReplacementPolicy for HawkEye {
         } else {
             RRPV_MAX
         };
-        self.loader[i] = pc_hash;
+        self.loader[i] = pc_hash as u16;
     }
 
     fn on_fill(&mut self, set: usize, way: usize, meta: &AccessMeta) {
@@ -174,7 +184,7 @@ impl ReplacementPolicy for HawkEye {
         }
         let i = set * self.ways + way;
         self.rrpv[i] = if friendly { 0 } else { RRPV_MAX };
-        self.loader[i] = pc_hash;
+        self.loader[i] = pc_hash as u16;
     }
 
     fn victim(&mut self, set: usize, mask: WayMask) -> usize {
@@ -215,7 +225,7 @@ impl triangel_types::snap::Snapshot for HawkEye {
         }
         w.usize(self.loader.len());
         for v in &self.loader {
-            w.u64(*v);
+            w.u64(*v as u64);
         }
         w.usize(self.predictor.len());
         for c in &self.predictor {
@@ -244,9 +254,14 @@ impl triangel_types::snap::Snapshot for HawkEye {
         for v in &mut self.rrpv {
             *v = r.u8()?;
         }
+        // Loaders and history pc-hashes index the predictor later
+        // (`victim`, `optgen_access`), so they must lie inside it.
+        let hashes = self.predictor.len() as u64;
         r.expect_len(self.loader.len(), "HawkEye loaders")?;
         for v in &mut self.loader {
-            *v = r.u64()?;
+            let loader = r.u64()?;
+            triangel_types::snap::snap_check(loader < hashes, "HawkEye loader beyond predictor")?;
+            *v = loader as u16;
         }
         r.expect_len(self.predictor.len(), "HawkEye predictor")?;
         for c in &mut self.predictor {
@@ -260,6 +275,10 @@ impl triangel_types::snap::Snapshot for HawkEye {
             for _ in 0..n {
                 let line = LineAddr::new(r.u64()?);
                 let pc_hash = r.u64()?;
+                triangel_types::snap::snap_check(
+                    pc_hash < hashes,
+                    "OPTgen pc-hash beyond predictor",
+                )?;
                 s.history.push_back((line, pc_hash));
             }
             let n = r.usize()?;
@@ -279,6 +298,7 @@ impl triangel_types::snap::Snapshot for HawkEye {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triangel_types::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
     fn demand(line: u64, pc: u64) -> AccessMeta {
         AccessMeta::demand(LineAddr::new(line), Some(Pc::new(pc)))
@@ -383,5 +403,53 @@ mod tests {
         assert!(h.samples.iter().map(|s| s.history.len()).sum::<usize>() == 0);
         h.on_fill(64, 0, &demand(7, 0x40));
         assert_eq!(h.samples[1].history.len(), 1);
+    }
+
+    fn restore_into_small(h: &HawkEye) -> Result<HawkEye, SnapError> {
+        let mut w = SnapWriter::new();
+        h.save(&mut w)?;
+        let bytes = w.into_bytes();
+        let mut fresh = small();
+        let mut r = SnapReader::new(&bytes);
+        fresh.restore(&mut r)?;
+        r.finish()?;
+        Ok(fresh)
+    }
+
+    #[test]
+    fn snapshot_roundtrip_keeps_loaders() {
+        let mut h = small();
+        for w in 0..4 {
+            h.on_fill(0, w, &demand(w as u64, 0x10 + w as u64));
+        }
+        let back = restore_into_small(&h).unwrap();
+        assert_eq!(back.loader, h.loader);
+        assert_eq!(back.samples[0].history, h.samples[0].history);
+    }
+
+    #[test]
+    fn restore_rejects_a_loader_beyond_the_predictor() {
+        let mut h = small();
+        h.on_fill(0, 0, &demand(1, 0x10));
+        h.loader[2] = h.predictor.len() as u16;
+        assert!(matches!(restore_into_small(&h), Err(SnapError::Corrupt(_))));
+    }
+
+    #[test]
+    fn restore_rejects_a_history_hash_beyond_the_predictor() {
+        let mut h = small();
+        h.on_fill(0, 0, &demand(1, 0x10));
+        h.samples[0].history[0].1 = h.predictor.len() as u64;
+        assert!(matches!(restore_into_small(&h), Err(SnapError::Corrupt(_))));
+    }
+
+    #[test]
+    #[should_panic(expected = "HawkEye predictor index above 16 bits")]
+    fn predictor_index_wider_than_a_loader_panics() {
+        let cfg = HawkEyeConfig {
+            predictor_index_bits: 17,
+            ..HawkEyeConfig::default()
+        };
+        HawkEye::new(1, 4, cfg);
     }
 }

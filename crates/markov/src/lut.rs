@@ -2,8 +2,6 @@
 
 use crate::format::LutAssociativity;
 
-const LUT_ENTRIES: usize = 1024;
-
 /// The shared upper-bits table Triage's 32-bit format indirects through.
 ///
 /// Each slot holds the upper bits (`target_line >> offset_bits`) of some
@@ -23,12 +21,16 @@ pub struct LookupTable {
 }
 
 impl LookupTable {
+    /// Number of slots (Section 3.1's 1024-entry table); valid slot
+    /// indices are `0..CAPACITY`.
+    pub(crate) const CAPACITY: usize = 1024;
+
     /// Creates an empty table.
     pub fn new(assoc: LutAssociativity) -> Self {
         LookupTable {
             assoc,
-            slots: vec![None; LUT_ENTRIES],
-            stamps: vec![0; LUT_ENTRIES],
+            slots: vec![None; Self::CAPACITY],
+            stamps: vec![0; Self::CAPACITY],
             clock: 0,
             evictions: 0,
         }
@@ -41,7 +43,7 @@ impl LookupTable {
                 let set = (upper as usize) % 64;
                 (set * 16, 16)
             }
-            LutAssociativity::Full => (0, LUT_ENTRIES),
+            LutAssociativity::Full => (0, Self::CAPACITY),
         }
     }
 
@@ -86,7 +88,7 @@ impl LookupTable {
     ///
     /// # Panics
     ///
-    /// Panics if `idx >= 1024`.
+    /// Panics if `idx >= CAPACITY`.
     pub fn upper_at(&self, idx: u16) -> Option<u64> {
         self.slots[idx as usize]
     }
@@ -110,7 +112,7 @@ impl LookupTable {
     /// Dedicated-storage size in bytes (4-byte tags, per Section 3.1's
     /// "4KiB structure").
     pub fn size_bytes(&self) -> usize {
-        LUT_ENTRIES * 4
+        Self::CAPACITY * 4
     }
 }
 
@@ -180,10 +182,10 @@ mod tests {
     #[test]
     fn full_assoc_uses_whole_table() {
         let mut lut = LookupTable::new(LutAssociativity::Full);
-        for k in 0..LUT_ENTRIES as u64 {
+        for k in 0..LookupTable::CAPACITY as u64 {
             let _ = lut.index_for(k * 64); // same set under Way16
         }
-        assert_eq!(lut.occupancy(), LUT_ENTRIES);
+        assert_eq!(lut.occupancy(), LookupTable::CAPACITY);
         assert_eq!(lut.evictions(), 0);
     }
 

@@ -9,6 +9,9 @@ use triangel_cache::replacement::{
 use triangel_types::arena::SetArena;
 use triangel_types::{xor_fold, LineAddr, Pc};
 
+/// The largest line index `Direct42`'s 31-bit target field holds.
+const DIRECT42_MASK: u64 = (1 << 31) - 1;
+
 /// Geometry and policy of the Markov table.
 #[derive(Debug, Clone, Copy)]
 pub struct MarkovTableConfig {
@@ -101,32 +104,74 @@ impl triangel_obs::Probe for MarkovTableStats {
     }
 }
 
+/// The decoded view of an entry's target: a line index stored directly,
+/// or a lookup-table slot plus the region offset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StoredTarget {
     Direct(u64),
     Lut { idx: u16, offset: u32 },
 }
 
-impl Default for StoredTarget {
-    fn default() -> Self {
-        StoredTarget::Direct(0)
-    }
-}
-
-/// The per-entry payload stored next to the arena tag: the confidence
-/// bit and the encoded target.
+/// The per-entry payload stored next to the arena tag, packed into one
+/// word: bit 63 is the confidence bit, bit 62 marks a LUT target, and
+/// the target is either a line index (at most [`LineAddr::MAX`]) in
+/// bits `0..58` or a LUT slot in bits `32..48` over the region offset
+/// in bits `0..32`. The all-zero word (unconfident, direct target 0) is
+/// the canonical empty slot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct EntrySlot {
-    conf: bool,
-    target: StoredTarget,
+struct EntrySlot(u64);
+
+impl EntrySlot {
+    const CONF: u64 = 1 << 63;
+    const LUT: u64 = 1 << 62;
+
+    fn new(conf: bool, target: StoredTarget) -> Self {
+        let target = match target {
+            StoredTarget::Direct(t) => {
+                debug_assert!(
+                    t <= LineAddr::MAX.index(),
+                    "direct target above LineAddr::MAX"
+                );
+                t
+            }
+            StoredTarget::Lut { idx, offset } => Self::LUT | ((idx as u64) << 32) | offset as u64,
+        };
+        EntrySlot(if conf { Self::CONF } else { 0 } | target)
+    }
+
+    #[inline]
+    fn conf(self) -> bool {
+        self.0 & Self::CONF != 0
+    }
+
+    #[inline]
+    fn with_conf(self, conf: bool) -> Self {
+        EntrySlot(if conf {
+            self.0 | Self::CONF
+        } else {
+            self.0 & !Self::CONF
+        })
+    }
+
+    #[inline]
+    fn target(self) -> StoredTarget {
+        if self.0 & Self::LUT != 0 {
+            StoredTarget::Lut {
+                idx: (self.0 >> 32) as u16,
+                offset: self.0 as u32,
+            }
+        } else {
+            StoredTarget::Direct(self.0 & LineAddr::MAX.index())
+        }
+    }
 }
 
 use triangel_types::snap::{snap_check, SnapError, SnapReader, SnapWriter, Snapshot};
 
 impl Snapshot for EntrySlot {
     fn save(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.bool(self.conf);
-        match self.target {
+        w.bool(self.conf());
+        match self.target() {
             StoredTarget::Direct(t) => {
                 w.u8(0);
                 w.u64(t);
@@ -140,16 +185,26 @@ impl Snapshot for EntrySlot {
         Ok(())
     }
 
+    /// Restores the word; the format-dependent range checks run in
+    /// [`MarkovTable::restore`], which knows the format.
     fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.conf = r.bool()?;
-        self.target = match r.u8()? {
-            0 => StoredTarget::Direct(r.u64()?),
+        let conf = r.bool()?;
+        let target = match r.u8()? {
+            0 => {
+                let t = r.u64()?;
+                snap_check(
+                    t <= LineAddr::MAX.index(),
+                    "Markov target above LineAddr::MAX",
+                )?;
+                StoredTarget::Direct(t)
+            }
             1 => StoredTarget::Lut {
                 idx: r.u16()?,
                 offset: r.u32()?,
             },
             b => return Err(SnapError::corrupt(format!("stored-target byte {b}"))),
         };
+        *self = EntrySlot::new(conf, target);
         Ok(())
     }
 }
@@ -274,11 +329,9 @@ impl<P: ReplacementPolicy> MarkovTable<P> {
 
     fn encode_target(&mut self, target: LineAddr) -> StoredTarget {
         match self.cfg.format {
-            TargetFormat::Direct42 => {
-                // 31-bit field: 128 GB of physical space (Section 4.3).
-                StoredTarget::Direct(target.index() & ((1 << 31) - 1))
+            TargetFormat::Direct42 | TargetFormat::Ideal32 => {
+                StoredTarget::Direct(self.canonical_target(target).index())
             }
-            TargetFormat::Ideal32 => StoredTarget::Direct(target.index()),
             TargetFormat::Lut { offset_bits, .. } => {
                 let offset = (target.index() & ((1 << offset_bits) - 1)) as u32;
                 let upper = target.index() >> offset_bits;
@@ -303,7 +356,9 @@ impl<P: ReplacementPolicy> MarkovTable<P> {
                 .as_ref()
                 .and_then(|l| l.upper_at(idx))
                 .map(|u| LineAddr::new((u << offset_bits) | offset as u64)),
-            (StoredTarget::Lut { .. }, _) => unreachable!("LUT target under non-LUT format"),
+            (StoredTarget::Lut { .. }, _) => {
+                unreachable!("restore rejects LUT targets under direct formats")
+            }
         }
     }
 
@@ -318,7 +373,9 @@ impl<P: ReplacementPolicy> MarkovTable<P> {
                 // reconstructs the *wrong* region — Fig. 19's inaccuracy.
                 Some(LineAddr::new((upper << offset_bits) | offset as u64))
             }
-            (StoredTarget::Lut { .. }, _) => unreachable!("LUT target under non-LUT format"),
+            (StoredTarget::Lut { .. }, _) => {
+                unreachable!("restore rejects LUT targets under direct formats")
+            }
         }
     }
 
@@ -332,10 +389,10 @@ impl<P: ReplacementPolicy> MarkovTable<P> {
         let meta = AccessMeta::prefetch(line, None);
         self.repl.on_hit(line_idx, way, &meta);
         let slot = *self.entries.payload(line_idx, way);
-        let target = self.decode_target(slot.target)?;
+        let target = self.decode_target(slot.target())?;
         Some(MarkovHit {
             target,
-            confidence: slot.conf,
+            confidence: slot.conf(),
         })
     }
 
@@ -345,8 +402,8 @@ impl<P: ReplacementPolicy> MarkovTable<P> {
         let line_idx = self.line_index(line)?;
         let tag = self.tag_of(line);
         let way = self.entries.find(line_idx, tag)?;
-        let slot = self.entries.payload(line_idx, way);
-        Some((self.peek_target(slot.target)?, slot.conf))
+        let slot = *self.entries.payload(line_idx, way);
+        Some((self.peek_target(slot.target())?, slot.conf()))
     }
 
     /// Trains the pair `(prev -> next)`, counting one partition access.
@@ -366,20 +423,14 @@ impl<P: ReplacementPolicy> MarkovTable<P> {
         // Existing entry?
         if let Some(way) = self.entries.find(line_idx, tag) {
             let slot = *self.entries.payload(line_idx, way);
-            let current = self.peek_target(slot.target);
+            let current = self.peek_target(slot.target());
             let same = current == Some(self.canonical_target(next));
             let updated = if same {
-                EntrySlot { conf: true, ..slot }
-            } else if slot.conf {
-                EntrySlot {
-                    conf: false,
-                    ..slot
-                }
+                slot.with_conf(true)
+            } else if slot.conf() {
+                slot.with_conf(false)
             } else {
-                EntrySlot {
-                    conf: slot.conf,
-                    target: self.encode_target(next),
-                }
+                EntrySlot::new(false, self.encode_target(next))
             };
             *self.entries.payload_mut(line_idx, way) = updated;
             self.repl.on_hit(line_idx, way, &meta);
@@ -399,15 +450,8 @@ impl<P: ReplacementPolicy> MarkovTable<P> {
             v
         });
         let target = self.encode_target(next);
-        self.entries.insert(
-            line_idx,
-            way,
-            tag,
-            EntrySlot {
-                conf: false,
-                target,
-            },
-        );
+        self.entries
+            .insert(line_idx, way, tag, EntrySlot::new(false, target));
         self.repl.on_fill(line_idx, way, &meta);
     }
 
@@ -437,15 +481,13 @@ impl<P: ReplacementPolicy> MarkovTable<P> {
         };
         let slot = *self.entries.payload(line_idx, way);
         let canonical = self.canonical_target(target);
-        if self.peek_target(slot.target) != Some(canonical) {
+        if self.peek_target(slot.target()) != Some(canonical) {
             // Retrained since the prefetch issued: stale feedback.
             return false;
         }
         self.stats.writes += 1;
-        if used {
-            self.entries.payload_mut(line_idx, way).conf = true;
-        } else if slot.conf {
-            self.entries.payload_mut(line_idx, way).conf = false;
+        if used || slot.conf() {
+            *self.entries.payload_mut(line_idx, way) = slot.with_conf(used);
         } else {
             self.entries.take(line_idx, way);
             self.stats.entry_evictions += 1;
@@ -455,12 +497,33 @@ impl<P: ReplacementPolicy> MarkovTable<P> {
     }
 
     /// What `target` will round-trip to under this format (for the
-    /// same-target comparison): direct formats truncate to 31 bits.
+    /// same-target comparison): `Direct42` truncates to its 31-bit
+    /// field, 128 GB of physical space (Section 4.3), and `Ideal32` to
+    /// [`LineAddr::MAX`], which no line of a byte address exceeds.
     fn canonical_target(&self, target: LineAddr) -> LineAddr {
         match self.cfg.format {
-            TargetFormat::Direct42 => LineAddr::new(target.index() & ((1 << 31) - 1)),
-            _ => target,
+            TargetFormat::Direct42 => LineAddr::new(target.index() & DIRECT42_MASK),
+            TargetFormat::Ideal32 => LineAddr::new(target.index() & LineAddr::MAX.index()),
+            TargetFormat::Lut { .. } => target,
         }
+    }
+
+    /// Rejects a restored target this format could not have stored: a
+    /// LUT target under a direct format (or a direct one under a LUT
+    /// format), a LUT slot beyond the LUT, an offset wider than its
+    /// field, or a direct target wider than `Direct42`'s 31 bits.
+    /// ([`EntrySlot::restore`] already rejects direct targets above
+    /// [`LineAddr::MAX`].)
+    fn check_target(&self, target: StoredTarget) -> Result<(), SnapError> {
+        let ok = match (target, self.cfg.format) {
+            (StoredTarget::Direct(t), TargetFormat::Direct42) => t <= DIRECT42_MASK,
+            (StoredTarget::Direct(_), TargetFormat::Ideal32) => true,
+            (StoredTarget::Lut { idx, offset }, TargetFormat::Lut { offset_bits, .. }) => {
+                (idx as usize) < LookupTable::CAPACITY && (offset as u64) >> offset_bits == 0
+            }
+            _ => false,
+        };
+        snap_check(ok, "Markov target does not fit the entry format")
     }
 
     /// Resizes the partition, re-indexing surviving entries under the
@@ -472,19 +535,27 @@ impl<P: ReplacementPolicy> MarkovTable<P> {
             return false;
         }
         self.stats.resizes += 1;
-        let old = self.entries.drain_entries();
         self.ways = ways;
-        if ways == 0 {
-            self.stats.reindex_drops += old.len() as u64;
-            return true;
-        }
-        for (line_idx, _way, tag, slot) in old {
-            let set = line_idx / self.cfg.max_ways;
-            let way = (tag as usize) % ways;
-            let new_line = set * self.cfg.max_ways + way;
-            match self.entries.first_free(new_line) {
-                Some(free) => self.entries.insert(new_line, free, tag, slot),
-                None => self.stats.reindex_drops += 1,
+        // Re-indexing moves entries only among the lines of one L3 set,
+        // so each set is taken out and reinserted on its own, in the
+        // same (line, way) order a whole-table drain would visit.
+        let max_ways = self.cfg.max_ways;
+        let mut taken = Vec::with_capacity(max_ways * self.cfg.format.entries_per_line());
+        for set in 0..self.cfg.sets {
+            for line_idx in set * max_ways..(set + 1) * max_ways {
+                self.entries.take_set(line_idx, &mut taken);
+            }
+            if ways == 0 {
+                self.stats.reindex_drops += taken.len() as u64;
+                taken.clear();
+                continue;
+            }
+            for (tag, slot) in taken.drain(..) {
+                let new_line = set * max_ways + (tag as usize) % ways;
+                match self.entries.first_free(new_line) {
+                    Some(free) => self.entries.insert(new_line, free, tag, slot),
+                    None => self.stats.reindex_drops += 1,
+                }
             }
         }
         true
@@ -536,6 +607,9 @@ impl<P: ReplacementPolicy + Snapshot> Snapshot for MarkovTable<P> {
         snap_check(ways <= self.cfg.max_ways, "Markov ways above maximum")?;
         self.ways = ways;
         self.entries.restore(r)?;
+        for (_, _, _, slot) in self.entries.iter() {
+            self.check_target(slot.target())?;
+        }
         self.repl.restore(r)?;
         let has_lut = r.bool()?;
         snap_check(has_lut == self.lut.is_some(), "LUT presence mismatch")?;
@@ -994,5 +1068,233 @@ mod tests {
         for k in 0..300u64 {
             assert_eq!(t.peek(LineAddr::new(k * 5)), u.peek(LineAddr::new(k * 5)));
         }
+    }
+
+    #[test]
+    fn entry_slot_is_one_word() {
+        assert_eq!(std::mem::size_of::<EntrySlot>(), 8);
+    }
+
+    #[test]
+    fn entry_slot_packs_every_field_losslessly() {
+        for conf in [false, true] {
+            for target in [
+                StoredTarget::Direct(0),
+                StoredTarget::Direct(LineAddr::MAX.index()),
+                StoredTarget::Lut { idx: 0, offset: 0 },
+                StoredTarget::Lut {
+                    idx: u16::MAX,
+                    offset: u32::MAX,
+                },
+            ] {
+                let slot = EntrySlot::new(conf, target);
+                assert_eq!((slot.conf(), slot.target()), (conf, target));
+                assert_eq!(slot.with_conf(!conf).target(), target);
+                assert_eq!(slot.with_conf(!conf).conf(), !conf);
+            }
+        }
+        assert_eq!(
+            EntrySlot::new(false, StoredTarget::Direct(0)),
+            EntrySlot::default()
+        );
+    }
+
+    #[test]
+    fn ideal32_keeps_at_most_line_addr_max() {
+        let mut t = table(TargetFormat::Ideal32);
+        let beyond = LineAddr::new(u64::MAX);
+        t.train(LineAddr::new(9), beyond, Pc::new(1));
+        assert_eq!(t.peek(LineAddr::new(9)), Some((LineAddr::MAX, false)));
+        t.train(LineAddr::new(9), beyond, Pc::new(1));
+        assert_eq!(
+            t.peek(LineAddr::new(9)),
+            Some((LineAddr::MAX, true)),
+            "retraining the same (masked) target sets confidence"
+        );
+    }
+
+    /// A small table under `format` and `repl`, trained with targets
+    /// spread over several LUT regions, some entries made confident,
+    /// then shrunk by one way.
+    fn trained<P: ReplacementPolicy>(format: TargetFormat, repl: P) -> MarkovTable<P> {
+        let mut t = MarkovTable::with_policy(small_cfg(format), repl);
+        t.set_ways(2);
+        for k in 0..120u64 {
+            let next = LineAddr::new(((k % 5) << 12) | (k * 3));
+            t.train(LineAddr::new(k * 7), next, Pc::new(k % 4));
+            if k % 4 == 0 {
+                t.train(LineAddr::new(k * 7), next, Pc::new(k % 4));
+            }
+        }
+        t.set_ways(1);
+        t
+    }
+
+    fn small_cfg(format: TargetFormat) -> MarkovTableConfig {
+        MarkovTableConfig {
+            sets: 4,
+            max_ways: 2,
+            ..cfg(format)
+        }
+    }
+
+    fn snapshot_of<P: ReplacementPolicy + Snapshot>(t: &MarkovTable<P>) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        t.save(&mut w).unwrap();
+        w.into_bytes()
+    }
+
+    fn restore_from<P: ReplacementPolicy + Snapshot>(
+        mut fresh: MarkovTable<P>,
+        bytes: &[u8],
+    ) -> Result<MarkovTable<P>, SnapError> {
+        let mut r = SnapReader::new(bytes);
+        fresh.restore(&mut r)?;
+        r.finish()?;
+        Ok(fresh)
+    }
+
+    /// Every truncation, 1- and 8-byte extension and single-bit flip of
+    /// a trained table's snapshot is an error, or restores a table that
+    /// then serves lookups, training and resizes without panicking.
+    fn assert_mutations_never_panic<P: ReplacementPolicy + Snapshot>(
+        t: &MarkovTable<P>,
+        fresh: impl Fn() -> MarkovTable<P>,
+    ) {
+        let bytes = snapshot_of(t);
+        let back = restore_from(fresh(), &bytes).unwrap();
+        assert_eq!(snapshot_of(&back), bytes, "clean snapshot round-trips");
+        for n in 0..bytes.len() {
+            assert!(
+                restore_from(fresh(), &bytes[..n]).is_err(),
+                "truncated to {n}"
+            );
+        }
+        for extra in [&[0u8][..], &[0; 8]] {
+            let long = [&bytes[..], extra].concat();
+            assert!(
+                restore_from(fresh(), &long).is_err(),
+                "extended by {}",
+                extra.len()
+            );
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(mut u) = restore_from(fresh(), &flipped) {
+                for i in 0..48u64 {
+                    u.lookup(LineAddr::new(i * 7));
+                    u.train(
+                        LineAddr::new(i * 7),
+                        LineAddr::new((i << 11) | i),
+                        Pc::new(i),
+                    );
+                    u.train_on_evict(LineAddr::new(i * 7), LineAddr::new(i), i % 2 == 0);
+                    u.set_ways((i % 3) as usize);
+                }
+            }
+        }
+    }
+
+    fn small_hawkeye() -> HawkEye {
+        let c = small_cfg(TargetFormat::triage_default());
+        HawkEye::new(
+            c.sets * c.max_ways,
+            c.format.entries_per_line(),
+            HawkEyeConfig {
+                sampled_sets: 2,
+                history_factor: 2,
+                predictor_index_bits: 6,
+            },
+        )
+    }
+
+    #[test]
+    fn corrupt_lut_snapshots_are_errors_not_panics() {
+        let fmt = TargetFormat::triage_default();
+        let fresh = || MarkovTable::with_policy(small_cfg(fmt), small_hawkeye());
+        let t = trained(fmt, small_hawkeye());
+        assert!(t.lut().unwrap().occupancy() > 1);
+        assert_mutations_never_panic(&t, fresh);
+    }
+
+    #[test]
+    fn corrupt_direct_snapshots_are_errors_not_panics() {
+        for fmt in [TargetFormat::Direct42, TargetFormat::Ideal32] {
+            let c = small_cfg(fmt);
+            let (lines, epl) = (c.sets * c.max_ways, fmt.entries_per_line());
+            let rrip = || Rrip::new(lines, epl, RripMode::Static);
+            let t = trained(fmt, rrip());
+            assert!(t.occupancy() > 4);
+            assert_mutations_never_panic(&t, || MarkovTable::with_policy(c, rrip()));
+        }
+    }
+
+    #[test]
+    fn targets_the_format_cannot_hold_are_corrupt() {
+        let direct = StoredTarget::Direct;
+        let lut = |idx, offset| StoredTarget::Lut { idx, offset };
+        let cases = [
+            (
+                TargetFormat::Direct42,
+                lut(0, 0),
+                "LUT target under Direct42",
+            ),
+            (TargetFormat::Ideal32, lut(0, 0), "LUT target under Ideal32"),
+            (
+                TargetFormat::Direct42,
+                direct(1 << 31),
+                "Direct42 target above 31 bits",
+            ),
+            (
+                TargetFormat::triage_default(),
+                direct(0),
+                "direct target under a LUT format",
+            ),
+            (
+                TargetFormat::triage_default(),
+                lut(1024, 0),
+                "LUT slot beyond the LUT",
+            ),
+            (
+                TargetFormat::triage_default(),
+                lut(0, 1 << 11),
+                "offset above 11 bits",
+            ),
+            (
+                TargetFormat::triage_10b_offset(),
+                lut(0, 1 << 10),
+                "offset above 10 bits",
+            ),
+        ];
+        for (fmt, target, what) in cases {
+            let c = small_cfg(fmt);
+            let lru = || Lru::new(c.sets * c.max_ways, fmt.entries_per_line());
+            let mut t = MarkovTable::with_policy(c, lru());
+            t.set_ways(1);
+            t.entries.insert(3, 5, 0x2A, EntrySlot::new(true, target));
+            let bytes = snapshot_of(&t);
+            assert!(
+                matches!(
+                    restore_from(MarkovTable::with_policy(c, lru()), &bytes),
+                    Err(SnapError::Corrupt(_))
+                ),
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn direct_targets_above_line_addr_max_are_corrupt() {
+        let mut w = SnapWriter::new();
+        w.bool(false);
+        w.u8(0);
+        w.u64(LineAddr::MAX.index() + 1);
+        let bytes = w.into_bytes();
+        let mut slot = EntrySlot::default();
+        assert!(matches!(
+            slot.restore(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Corrupt(_))
+        ));
     }
 }

@@ -9,13 +9,16 @@
 //! keeps that original implementation alive (trimmed to behaviour; no
 //! snapshots) and drives both through identical randomized operation
 //! sequences across every `TargetFormat` and a spread of replacement
-//! policies, asserting equal observable results after every step.
+//! policies, asserting equal observable results after every step, and
+//! equal snapshot bytes at the end: the packed one-word entry must
+//! serialize exactly as the reference's `bool` + enum entry does.
 
 use proptest::prelude::*;
 use triangel_cache::replacement::{
     all_ways, AccessMeta, PolicyKind, ReplacementImpl, ReplacementPolicy,
 };
 use triangel_markov::{LookupTable, MarkovHit, MarkovTableConfig, MarkovTableImpl, TargetFormat};
+use triangel_types::snap::{SnapWriter, Snapshot};
 use triangel_types::{xor_fold, LineAddr, Pc};
 
 // ---------------------------------------------------------------------
@@ -98,6 +101,10 @@ impl NaiveMarkov {
     fn encode_target(&mut self, target: LineAddr) -> StoredTarget {
         match self.cfg.format {
             TargetFormat::Direct42 => StoredTarget::Direct(target.index() & ((1 << 31) - 1)),
+            // Intentional difference: the packed table masks `Ideal32`
+            // targets to `LineAddr::MAX` (58 bits), which no line of a
+            // byte address exceeds. The driver's lines stay far below
+            // it, so the two agree on every sequence generated here.
             TargetFormat::Ideal32 => StoredTarget::Direct(target.index()),
             TargetFormat::Lut { offset_bits, .. } => {
                 let offset = (target.index() & ((1 << offset_bits) - 1)) as u32;
@@ -296,6 +303,69 @@ impl NaiveMarkov {
     fn occupancy(&self) -> usize {
         self.entries.iter().filter(|e| e.is_some()).count()
     }
+
+    /// The snapshot layout `MarkovTableImpl::save` promises, written
+    /// from the reference's entries: policy tag, partition ways, then
+    /// per line a validity mask and each live entry as `u16` tag,
+    /// `bool` confidence, `u8` kind and a `u64` line or a `u16` LUT
+    /// slot plus `u32` offset; then the policy state, the LUT and the
+    /// counters.
+    fn save_bytes(&self) -> Vec<u8> {
+        let mut repl = SnapWriter::new();
+        self.repl.save(&mut repl).unwrap();
+        let repl = repl.into_bytes();
+        let (policy_tag, policy_state) = repl.split_first().unwrap();
+        let mut w = SnapWriter::new();
+        w.u8(*policy_tag);
+        w.usize(self.ways);
+        let epl = self.cfg.format.entries_per_line();
+        w.usize(self.cfg.sets * self.cfg.max_ways);
+        w.usize(epl);
+        for line in self.entries.chunks(epl) {
+            let mask = line
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.is_some())
+                .fold(0u64, |m, (way, _)| m | 1 << way);
+            w.u64(mask);
+            for e in line.iter().flatten() {
+                w.u16(e.tag);
+                w.bool(e.conf);
+                match e.target {
+                    StoredTarget::Direct(t) => {
+                        w.u8(0);
+                        w.u64(t);
+                    }
+                    StoredTarget::Lut { idx, offset } => {
+                        w.u8(1);
+                        w.u16(idx);
+                        w.u32(offset);
+                    }
+                }
+            }
+        }
+        let mut bytes = w.into_bytes();
+        bytes.extend_from_slice(policy_state);
+        let mut w = SnapWriter::new();
+        match &self.lut {
+            Some(lut) => {
+                w.bool(true);
+                lut.save(&mut w).unwrap();
+            }
+            None => w.bool(false),
+        }
+        for c in [
+            self.reads,
+            self.writes,
+            self.entry_evictions,
+            self.resizes,
+            self.reindex_drops,
+        ] {
+            w.u64(c);
+        }
+        bytes.extend(w.into_bytes());
+        bytes
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -428,6 +498,16 @@ fn drive(
     prop_assert_eq!(s.entry_evictions, naive.entry_evictions);
     prop_assert_eq!(s.resizes, naive.resizes);
     prop_assert_eq!(s.reindex_drops, naive.reindex_drops);
+    let mut w = SnapWriter::new();
+    arena.save(&mut w).unwrap();
+    let (packed, reference) = (w.into_bytes(), naive.save_bytes());
+    prop_assert!(
+        packed == reference,
+        "snapshot bytes diverged: {} vs {} bytes, first difference at byte {:?}",
+        packed.len(),
+        reference.len(),
+        packed.iter().zip(&reference).position(|(a, b)| a != b)
+    );
     Ok(())
 }
 

@@ -47,7 +47,10 @@ impl BloomFilter {
         }
     }
 
-    fn bit_positions(&self, key: u64) -> impl Iterator<Item = usize> + '_ {
+    /// The bit positions `key` hashes to. The iterator holds no borrow
+    /// of the filter, so [`insert`](Self::insert) can set bits while
+    /// walking it.
+    fn bit_positions(&self, key: u64) -> impl Iterator<Item = usize> {
         // Double hashing: h1 + i*h2, the standard Kirsch–Mitzenmacher
         // construction.
         let h1 = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -68,7 +71,7 @@ impl BloomFilter {
     /// partition target.
     pub fn insert(&mut self, key: u64) -> bool {
         let was_present = self.contains(key);
-        for p in self.bit_positions(key).collect::<Vec<_>>() {
+        for p in self.bit_positions(key) {
             self.bits[p / 64] |= 1 << (p % 64);
         }
         if !was_present {
@@ -172,6 +175,32 @@ mod tests {
         // failure mode for Triangel-Bloom, Section 6.4).
         let fp = (10_000..10_100u64).filter(|k| f.contains(*k)).count();
         assert!(fp > 90);
+    }
+
+    #[test]
+    fn insert_reports_membership_before_the_insert() {
+        // With more hashes than a 64-bit word's worth, one key's
+        // positions coincide (i and i + 64 always do in 64 bits, and in
+        // 192 bits whenever 3 divides the stride), so `insert` revisits
+        // a position it has just set.
+        let mut collisions = 0;
+        for (n_bits, hashes) in [(64, 65), (192, 66)] {
+            let mut f = BloomFilter::new(n_bits, hashes);
+            for k in 0..60u64 {
+                if k % 3 == 0 {
+                    f.reset();
+                }
+                let key = k.wrapping_mul(0x2545_F491_4F6C_DD1D);
+                let mut positions: Vec<_> = f.bit_positions(key).collect();
+                positions.sort_unstable();
+                positions.dedup();
+                collisions += (positions.len() < hashes as usize) as u32;
+                let before = f.contains(key);
+                assert_eq!(f.insert(key), before, "{n_bits} bits, key {k}");
+                assert!(f.contains(key));
+            }
+        }
+        assert!(collisions > 60, "only {collisions} keys collide");
     }
 
     #[test]

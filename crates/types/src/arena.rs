@@ -210,6 +210,22 @@ impl<T: Default> SetArena<T> {
         Some((tag, payload))
     }
 
+    /// Invalidates every live entry in `set`, appending each to `out`
+    /// as `(tag, payload)` in ascending way order and resetting its
+    /// slot to the canonical empty state.
+    pub fn take_set(&mut self, set: usize, out: &mut Vec<(u16, T)>) {
+        let base = self.base(set);
+        let mut m = std::mem::take(&mut self.valid[set]);
+        while m != 0 {
+            let i = base + m.trailing_zeros() as usize;
+            m &= m - 1;
+            out.push((
+                std::mem::take(&mut self.tags[i]),
+                std::mem::take(&mut self.slots[i]),
+            ));
+        }
+    }
+
     /// Live entries in `set` (popcount of the validity mask).
     #[inline]
     pub fn set_occupancy(&self, set: usize) -> usize {
@@ -243,29 +259,6 @@ impl<T: Default> SetArena<T> {
                 Some((set, way, self.tag(set, way), self.payload(set, way)))
             })
         })
-    }
-
-    /// Removes every live entry and returns them as
-    /// `(set, way, tag, payload)` in ascending `(set, way)` order (the
-    /// re-index drain used by partition resizing).
-    pub fn drain_entries(&mut self) -> Vec<(usize, usize, u16, T)> {
-        let mut out = Vec::with_capacity(self.occupancy());
-        for set in 0..self.sets {
-            let mut m = self.valid[set];
-            while m != 0 {
-                let way = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let i = set * self.ways + way;
-                out.push((
-                    set,
-                    way,
-                    std::mem::take(&mut self.tags[i]),
-                    std::mem::take(&mut self.slots[i]),
-                ));
-            }
-            self.valid[set] = 0;
-        }
-        out
     }
 }
 
@@ -682,9 +675,11 @@ mod tests {
         a.insert(0, 1, 8, 80);
         let order: Vec<_> = a.iter().map(|(s, w, t, v)| (s, w, t, *v)).collect();
         assert_eq!(order, vec![(0, 1, 8, 80), (0, 3, 7, 70), (2, 0, 9, 90)]);
-        let drained = a.drain_entries();
-        assert_eq!(drained, vec![(0, 1, 8, 80), (0, 3, 7, 70), (2, 0, 9, 90)]);
-        assert_eq!(a.occupancy(), 0);
+        let mut taken = vec![];
+        a.take_set(0, &mut taken);
+        assert_eq!(taken, vec![(8, 80), (7, 70)]);
+        assert_eq!(a.occupancy(), 1);
+        assert_eq!((a.tag(0, 1), *a.payload(0, 1)), (0, 0), "slots reset");
     }
 
     #[test]
